@@ -45,7 +45,6 @@ OnlineCorrelator::OnlineCorrelator(
       up_ts_(upstream_->timestamps()) {
   require(config.max_delay >= 0, "max delay must be non-negative");
   windows_.resize(up_ts_.size());
-  window_final_.assign(up_ts_.size(), false);
   final_slots_per_bit_.assign(upstream_->plan().bit_count(), 0);
   bit_checked_.assign(upstream_->plan().bit_count(), false);
 }
@@ -118,10 +117,6 @@ void OnlineCorrelator::finish() {
   }
 }
 
-bool OnlineCorrelator::decided() const {
-  return early_rejected_ || finished_;
-}
-
 double OnlineCorrelator::finalized_fraction() const {
   if (up_ts_.empty()) return 1.0;
   return static_cast<double>(hi_cursor_) /
@@ -129,7 +124,6 @@ double OnlineCorrelator::finalized_fraction() const {
 }
 
 void OnlineCorrelator::finalize_window(std::uint32_t index) {
-  window_final_[index] = true;
   if (!options_.early_exit) return;
   if (windows_[index].empty() &&
       requires_complete_matching(algorithm_)) {

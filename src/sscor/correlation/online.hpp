@@ -124,7 +124,7 @@ class OnlineCorrelator {
   void finish();
 
   /// True once an early exit fired or finish() was called.
-  bool decided() const;
+  bool decided() const { return early_rejected_ || finished_; }
 
   /// True when the pair was rejected before the stream ended.
   bool early_rejected() const { return early_rejected_; }
@@ -163,7 +163,6 @@ class OnlineCorrelator {
   /// which this object keeps alive).
   std::span<const TimeUs> up_ts_;
   std::vector<MatchWindow> windows_;
-  std::vector<bool> window_final_;
   std::vector<std::uint32_t> final_slots_per_bit_;
   std::vector<bool> bit_checked_;
 

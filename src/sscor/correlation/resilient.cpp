@@ -17,6 +17,20 @@ constexpr std::array<Algorithm, 4> kTierOrder = {
     Algorithm::kGreedy,
 };
 
+/// Per-algorithm counters "resilient.<what>.<algorithm>", looked up once.
+struct TierCounters {
+  explicit TierCounters(const std::string& what) {
+    for (const Algorithm algorithm : kTierOrder) {
+      by_algorithm[static_cast<int>(algorithm)] = &metrics::counter(
+          "resilient." + what + "." + to_string(algorithm));
+    }
+  }
+  metrics::Counter& operator[](Algorithm algorithm) const {
+    return *by_algorithm[static_cast<int>(algorithm)];
+  }
+  metrics::Counter* by_algorithm[kTierOrder.size()] = {};
+};
+
 }  // namespace
 
 std::vector<Algorithm> fallback_ladder(Algorithm preferred) {
@@ -74,15 +88,16 @@ CorrelationResult ResilientCorrelator::correlate(
           metrics::counter("resilient.degraded");
       static metrics::Histogram& fallback_depth =
           metrics::histogram("resilient.fallback_depth");
+      static const TierCounters tier("tier");
       if (result.degraded) degraded_runs.add();
       fallback_depth.record(depth);
-      metrics::counter("resilient.tier." + to_string(result.algorithm)).add();
+      tier[result.algorithm].add();
       return result;
     }
 
     ++depth;
-    metrics::counter("resilient.fallback_from." + to_string(ladder_[t]))
-        .add();
+    static const TierCounters fallback_from("fallback_from");
+    fallback_from[ladder_[t]].add();
   }
   throw InternalError("fallback ladder exhausted without a result");
 }

@@ -65,7 +65,9 @@ Dataset Dataset::build(const ExperimentConfig& config) {
 Flow Dataset::downstream(std::size_t i, DurationUs max_perturbation,
                          double chaff_rate) const {
   require(i < flows_.size(), "flow index out of range");
-  metrics::counter("dataset.downstream_generated").add(1);
+  static metrics::Counter& generated =
+      metrics::counter("dataset.downstream_generated");
+  generated.add();
   const std::uint64_t flow_seed = mix_seeds(config_.master_seed, i);
   const auto pert_tag = static_cast<std::uint64_t>(max_perturbation);
   const auto chaff_tag =

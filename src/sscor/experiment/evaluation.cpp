@@ -34,7 +34,9 @@ const MatchContext& context_for(
   for (const auto& [k, ctx] : cache) {
     if (k == key) return ctx;
   }
-  sscor::metrics::counter("match_context.builds").add();
+  static sscor::metrics::Counter& builds =
+      sscor::metrics::counter("match_context.builds");
+  builds.add();
   cache.emplace_back(key, MatchContext::build(upstream, downstream,
                                               key.max_delay, key.size));
   return cache.back().second;

@@ -84,11 +84,16 @@ MatchContext MatchContext::build(const Flow& upstream, const Flow& downstream,
   for (std::size_t i = 0; i < ctx.windows_.size(); i += kStride) {
     window_widths.record(ctx.windows_[i].size());
   }
-  metrics::histogram("match.candidate_set_size").merge(set_sizes);
-  metrics::histogram("match.window_width").merge(window_widths);
+  static metrics::Histogram& candidate_set_size =
+      metrics::histogram("match.candidate_set_size");
+  static metrics::Histogram& window_width =
+      metrics::histogram("match.window_width");
+  static metrics::Histogram& prune_kept_pct =
+      metrics::histogram("match.prune_kept_pct");
+  candidate_set_size.merge(set_sizes);
+  window_width.merge(window_widths);
   if (ctx.complete_ && sampled_built > 0) {
-    metrics::histogram("match.prune_kept_pct")
-        .record(sampled_pruned * 100 / sampled_built);
+    prune_kept_pct.record(sampled_pruned * 100 / sampled_built);
   }
   return ctx;
 }

@@ -316,16 +316,19 @@ ResumeState DurableSession::resume() {
 bool DurableSession::commit(const StreamVerdict& verdict) {
   check_invariant(wal_.has_value(),
                   "commit before begin_fresh()/resume()");
+  static metrics::Counter& duplicates =
+      metrics::counter("durability.commits.duplicate");
+  static metrics::Counter& fresh = metrics::counter("durability.commits.fresh");
   ++commits_;
   if (!seen_.insert(dedup_key(verdict)).second) {
     // Already committed by a previous incarnation: catch-up regenerated
     // it; the caller must not emit it again.
-    metrics::counter("durability.commits.duplicate").add();
+    duplicates.add();
     return false;
   }
   wal_->append(encode_verdict(verdict));
   ++fresh_commits_;
-  metrics::counter("durability.commits.fresh").add();
+  fresh.add();
   if (options_.sigkill_after_commits >= 0 &&
       fresh_commits_ >=
           static_cast<std::uint64_t>(options_.sigkill_after_commits)) {

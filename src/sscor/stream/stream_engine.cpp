@@ -25,6 +25,15 @@ std::int64_t steady_now_us() {
 /// overload episode (one kWarn event per episode, not per eviction).
 constexpr std::int64_t kPressureEpisodeUs = 5'000'000;
 
+metrics::Counter& eviction_counter(EvictionCause cause) {
+  return metrics::counter(std::string("stream.flows.evicted.") +
+                          to_string(cause));
+}
+
+metrics::Counter& verdict_counter(VerdictKind kind) {
+  return metrics::counter(std::string("stream.verdicts.") + to_string(kind));
+}
+
 }  // namespace
 
 const char* to_string(VerdictKind kind) {
@@ -50,7 +59,56 @@ struct StreamEngine::FlowState : FlowUserState {
   std::vector<StreamVerdict> held;
 };
 
+/// Process-wide handles of the engine's metrics.  Every name is looked up
+/// in the registry once, at the first engine construction; the per-event
+/// paths then bump a handle, one relaxed atomic add.
+struct StreamEngine::Metrics {
+  metrics::Counter& packets_ingested =
+      metrics::counter("stream.packets.ingested");
+  metrics::Counter& packets_late = metrics::counter("stream.packets.late");
+  metrics::Counter& packets_out_of_order =
+      metrics::counter("stream.packets.out_of_order");
+  metrics::Counter& flows_created = metrics::counter("stream.flows.created");
+  metrics::Counter& flows_early_decided =
+      metrics::counter("stream.flows.early_decided");
+  metrics::Counter& flows_evicted = metrics::counter("stream.flows.evicted");
+  /// Indexed by EvictionCause.
+  metrics::Counter* flows_evicted_by_cause[3] = {
+      &eviction_counter(EvictionCause::kIdle),
+      &eviction_counter(EvictionCause::kFlowCount),
+      &eviction_counter(EvictionCause::kMemory)};
+  /// Indexed by VerdictKind.
+  metrics::Counter* verdicts_by_kind[4] = {
+      &verdict_counter(VerdictKind::kPositive),
+      &verdict_counter(VerdictKind::kNegative),
+      &verdict_counter(VerdictKind::kEvicted),
+      &verdict_counter(VerdictKind::kDegraded)};
+  metrics::Counter& verdicts_early = metrics::counter("stream.verdicts.early");
+  metrics::Histogram& verdict_packets_seen =
+      metrics::histogram("stream.verdict.packets_seen");
+  metrics::Histogram& flow_packets = metrics::histogram("stream.flow.packets");
+  metrics::Histogram& table_occupancy =
+      metrics::histogram("stream.table.occupancy");
+  metrics::Histogram& table_buffered =
+      metrics::histogram("stream.table.buffered");
+  metrics::TimerStat& flush = metrics::timer("stream.flush");
+  metrics::TimerStat& finish = metrics::timer("stream.finish");
+  metrics::Gauge& flows_live = metrics::gauge("stream.flows.live");
+  metrics::Gauge& packets_buffered = metrics::gauge("stream.packets.buffered");
+
+  static const Metrics& get() {
+    static const Metrics handles;
+    return handles;
+  }
+};
+
 struct StreamEngine::ShardState {
+  explicit ShardState(std::size_t index)
+      : flows_gauge(metrics::gauge("stream.shard." + std::to_string(index) +
+                                   ".flows")),
+        buffered_gauge(metrics::gauge("stream.shard." +
+                                      std::to_string(index) + ".buffered")) {}
+
   std::vector<std::pair<std::uint64_t, StreamPacket>> pending;
   std::vector<StreamVerdict> verdicts;
   /// Lifetime verdict tallies, owned by the shard like everything else
@@ -59,11 +117,17 @@ struct StreamEngine::ShardState {
   std::uint64_t verdicts_emitted = 0;
   std::uint64_t tally_by_kind[4] = {0, 0, 0, 0};
   std::uint64_t tally_early = 0;
+  /// This shard's status gauges, published at every flush.
+  metrics::Gauge& flows_gauge;
+  metrics::Gauge& buffered_gauge;
 };
 
 StreamEngine::StreamEngine(std::vector<WatermarkedFlow> upstreams,
                            CorrelatorConfig config, StreamOptions options)
-    : config_(config), options_(options), table_(options.table) {
+    : metrics_(Metrics::get()),
+      config_(config),
+      options_(options),
+      table_(options.table) {
   require(options.batch_size >= 1, "batch size must be positive");
   upstreams_.reserve(upstreams.size());
   for (auto& watermarked : upstreams) {
@@ -72,7 +136,7 @@ StreamEngine::StreamEngine(std::vector<WatermarkedFlow> upstreams,
   }
   shards_.reserve(table_.shard_count());
   for (std::size_t i = 0; i < table_.shard_count(); ++i) {
-    shards_.push_back(std::make_unique<ShardState>());
+    shards_.push_back(std::make_unique<ShardState>(i));
   }
   status_.upstreams = upstreams_.size();
   status_.shards.resize(table_.shard_count());
@@ -83,7 +147,7 @@ StreamEngine::~StreamEngine() = default;
 void StreamEngine::ingest(const StreamPacket& packet) {
   require(!finished_, "ingest after finish()");
   const std::uint64_t seq = next_seq_++;
-  metrics::counter("stream.packets.ingested").add();
+  metrics_.packets_ingested.add();
   const std::size_t shard = table_.shard_of(packet.tuple);
   shards_[shard]->pending.emplace_back(seq, packet);
   ++pending_total_;
@@ -97,14 +161,13 @@ void StreamEngine::ingest(const StreamPacket& packet) {
 void StreamEngine::flush() {
   if (pending_total_ == 0) return;
   TRACE_SPAN("stream.flush");
-  const metrics::ScopedTimer timer("stream.flush");
+  const metrics::ScopedTimer timer(metrics_.flush);
   parallel_for(
       shards_.size(), [this](std::size_t shard) { process_shard(shard); },
       options_.threads);
   pending_total_ = 0;
-  metrics::histogram("stream.table.occupancy").record(table_.flows());
-  metrics::histogram("stream.table.buffered")
-      .record(table_.buffered_packets());
+  metrics_.table_occupancy.record(table_.flows());
+  metrics_.table_buffered.record(table_.buffered_packets());
   publish_status();
 }
 
@@ -113,7 +176,7 @@ void StreamEngine::finish() {
   flush();
   finished_ = true;
   TRACE_SPAN("stream.finish");
-  const metrics::ScopedTimer timer("stream.finish");
+  const metrics::ScopedTimer timer(metrics_.finish);
   parallel_for(
       shards_.size(), [this](std::size_t shard) { finalize_shard(shard); },
       options_.threads);
@@ -247,16 +310,13 @@ void StreamEngine::publish_status() {
     status.verdicts_degraded +=
         shards_[i]->tally_by_kind[static_cast<int>(VerdictKind::kDegraded)];
     status.verdicts_early += shards_[i]->tally_early;
-    const std::string prefix = "stream.shard." + std::to_string(i);
-    metrics::gauge(prefix + ".flows")
-        .set(static_cast<std::int64_t>(shard.flows));
-    metrics::gauge(prefix + ".buffered")
-        .set(static_cast<std::int64_t>(shard.buffered_packets));
+    shards_[i]->flows_gauge.set(static_cast<std::int64_t>(shard.flows));
+    shards_[i]->buffered_gauge.set(
+        static_cast<std::int64_t>(shard.buffered_packets));
   }
-  metrics::gauge("stream.flows.live")
-      .set(static_cast<std::int64_t>(status.flows_live));
-  metrics::gauge("stream.packets.buffered")
-      .set(static_cast<std::int64_t>(status.buffered_packets));
+  metrics_.flows_live.set(static_cast<std::int64_t>(status.flows_live));
+  metrics_.packets_buffered.set(
+      static_cast<std::int64_t>(status.buffered_packets));
 
   // The hottest-flow ranking walks every live entry, so throttle it to the
   // telemetry timescale; flushes can be far more frequent than scrapes.
@@ -323,7 +383,7 @@ StreamEngine::FlowState* StreamEngine::ensure_state(FlowEntry& entry) {
                                 OnlineOptions{options_.early_exit});
     }
     entry.state = std::move(state);
-    metrics::counter("stream.flows.created").add();
+    metrics_.flows_created.add();
     if (eventlog::enabled()) {
       eventlog::emit(eventlog::Severity::kDebug, "flow.admitted",
                      {{"tuple", entry.tuple.to_string()},
@@ -352,14 +412,14 @@ void StreamEngine::route(std::size_t shard, std::uint64_t seq,
     flush_held(shard, *state);
   }
   if (entry->tombstone) {
-    metrics::counter("stream.packets.late").add();
+    metrics_.packets_late.add();
     return;
   }
   if (!state->buffer->empty() &&
       packet.packet.timestamp < state->buffer->last_timestamp()) {
     // A live source broke the per-flow FIFO assumption; dropping the
     // packet keeps the daemon up (sorted replay sources never hit this).
-    metrics::counter("stream.packets.out_of_order").add();
+    metrics_.packets_out_of_order.add();
     return;
   }
   state->buffer->append(packet.packet);
@@ -398,7 +458,7 @@ void StreamEngine::route(std::size_t shard, std::uint64_t seq,
     state->pairs.clear();
     state->pairs.shrink_to_fit();
     table_.tombstone(shard, entry);
-    metrics::counter("stream.flows.early_decided").add();
+    metrics_.flows_early_decided.add();
   }
 }
 
@@ -418,11 +478,9 @@ void StreamEngine::flush_held(std::size_t shard, FlowState& state) {
 void StreamEngine::handle_evictions(std::size_t shard,
                                     std::vector<EvictedFlow> evicted) {
   for (auto& ev : evicted) {
-    metrics::counter("stream.flows.evicted").add();
-    metrics::counter(std::string("stream.flows.evicted.") +
-                     to_string(ev.cause))
-        .add();
-    metrics::histogram("stream.flow.packets").record(ev.packets);
+    metrics_.flows_evicted.add();
+    metrics_.flows_evicted_by_cause[static_cast<int>(ev.cause)]->add();
+    metrics_.flow_packets.record(ev.packets);
     if (ev.cause != EvictionCause::kIdle) {
       // A bound displaced live work: stamp the overload clock (read by
       // /healthz) and log the onset of a new episode.
@@ -483,7 +541,7 @@ void StreamEngine::finalize_shard(std::size_t shard) {
   table_.for_each(shard, [&](FlowEntry& entry) {
     auto* state = static_cast<FlowState*>(entry.state.get());
     if (state == nullptr) return;
-    metrics::histogram("stream.flow.packets").record(entry.packets);
+    metrics_.flow_packets.record(entry.packets);
     if (entry.packets < options_.min_packets) return;  // batch drops these
     flush_held(shard, *state);
     if (entry.tombstone || state->pairs.empty()) return;
@@ -533,11 +591,9 @@ void StreamEngine::finalize_shard(std::size_t shard) {
 
 void StreamEngine::record_verdict_metrics(std::size_t shard,
                                           const StreamVerdict& verdict) {
-  metrics::counter(std::string("stream.verdicts.") + to_string(verdict.kind))
-      .add();
-  if (verdict.early) metrics::counter("stream.verdicts.early").add();
-  metrics::histogram("stream.verdict.packets_seen")
-      .record(verdict.packets_seen);
+  metrics_.verdicts_by_kind[static_cast<int>(verdict.kind)]->add();
+  if (verdict.early) metrics_.verdicts_early.add();
+  metrics_.verdict_packets_seen.record(verdict.packets_seen);
   ShardState& state = *shards_[shard];
   ++state.verdicts_emitted;
   ++state.tally_by_kind[static_cast<int>(verdict.kind)];

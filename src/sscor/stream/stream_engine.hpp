@@ -229,6 +229,7 @@ class StreamEngine {
  private:
   struct FlowState;
   struct ShardState;
+  struct Metrics;
 
   FlowState* ensure_state(FlowEntry& entry);
   void process_shard(std::size_t shard);
@@ -240,6 +241,9 @@ class StreamEngine {
   void record_verdict_metrics(std::size_t shard, const StreamVerdict& verdict);
   void publish_status();
 
+  /// Registry handles for every per-packet, per-verdict and per-flush
+  /// metric, bound once so the hot paths never look a name up.
+  const Metrics& metrics_;
   std::vector<std::shared_ptr<const OnlineUpstream>> upstreams_;
   CorrelatorConfig config_;
   StreamOptions options_;

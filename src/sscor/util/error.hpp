@@ -11,6 +11,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sscor {
 
@@ -47,21 +48,34 @@ class Cancelled : public Error {
   using Error::Error;
 };
 
-/// Throws InvalidArgument with `what` unless `condition` holds.
-inline void require(bool condition, const std::string& what,
+namespace detail {
+
+/// Cold halves of require()/check_invariant(): build the message and throw.
+/// Kept out of line so a passing check inlines to one compare-and-branch
+/// and never touches the heap.  The location goes by value (it is one
+/// pointer) so the caller need not spill it to the stack before the branch.
+[[noreturn, gnu::cold]] void throw_invalid_argument(
+    std::string_view what, std::source_location loc);
+[[noreturn, gnu::cold]] void throw_internal_error(std::string_view what,
+                                                  std::source_location loc);
+
+}  // namespace detail
+
+/// Throws InvalidArgument("<function>: <what>") unless `condition` holds.
+inline void require(bool condition, std::string_view what,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InvalidArgument(std::string(loc.function_name()) + ": " + what);
+  if (!condition) [[unlikely]] {
+    detail::throw_invalid_argument(what, loc);
   }
 }
 
-/// Throws InternalError with `what` unless `condition` holds.
+/// Throws InternalError("<function>: invariant violated: <what>") unless
+/// `condition` holds.
 inline void check_invariant(
-    bool condition, const std::string& what,
+    bool condition, std::string_view what,
     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InternalError(std::string(loc.function_name()) +
-                        ": invariant violated: " + what);
+  if (!condition) [[unlikely]] {
+    detail::throw_internal_error(what, loc);
   }
 }
 

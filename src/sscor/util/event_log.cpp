@@ -125,7 +125,9 @@ void emit(Severity severity, std::string_view event,
   if (!admit(s, severity)) {
     ++s.pending_suppressed;
     g_suppressed.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("eventlog.suppressed").add();
+    static metrics::Counter& suppressed_records =
+        metrics::counter("eventlog.suppressed");
+    suppressed_records.add();
     return;
   }
   std::string line = "{\"ts_us\": " + std::to_string(wall_micros()) +
@@ -147,7 +149,9 @@ void emit(Severity severity, std::string_view event,
   s.out << line << std::flush;
   ++s.emitted;
   g_emitted.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("eventlog.emitted").add();
+  static metrics::Counter& emitted_records =
+      metrics::counter("eventlog.emitted");
+  emitted_records.add();
 }
 
 std::uint64_t emitted() { return g_emitted.load(std::memory_order_relaxed); }

@@ -10,8 +10,10 @@
 namespace sscor::metrics {
 namespace {
 
-// Node-based maps keep the handed-out references valid forever; the mutex
-// only guards registration and snapshots, never the hot add() paths.
+// Node-based maps keep the handed-out references valid forever.  The mutex
+// guards every lookup, registration and snapshot; the add() paths behind a
+// handle never take it, so a hot call site binds its handle once instead of
+// looking it up per event.
 struct Registry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters;

@@ -9,9 +9,13 @@
 // JSON (BENCH_sweeps.json is produced this way).
 //
 // Counters and timers are thread-safe (relaxed atomics; totals are exact,
-// order-independent integers).  The registry hands out references that stay
-// valid for the process lifetime, so hot paths pay one hash lookup at setup
-// and one fetch_add per event.
+// order-independent integers).  The registry is one std::map per kind
+// behind a single mutex, so every counter()/timer()/histogram()/gauge()
+// call builds a key string, takes that lock and walks the map.  The
+// references it hands out stay valid for the process lifetime, so a call
+// site that binds its handle once (a function-local static reference or a
+// member bound at construction) pays one relaxed atomic add per event; one
+// that looks its name up per event pays the lock and the walk every time.
 
 #pragma once
 
@@ -42,28 +46,29 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Accumulated wall-clock time over any number of scoped measurements.
+/// Accumulated wall-clock time over any number of scoped measurements,
+/// kept in nanoseconds so sub-microsecond scopes still add up.
 class TimerStat {
  public:
-  void add_micros(std::int64_t us) {
+  void add_nanos(std::int64_t ns) {
     count_.fetch_add(1, std::memory_order_relaxed);
-    total_us_.fetch_add(us, std::memory_order_relaxed);
+    total_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
   std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
   double total_seconds() const {
-    return static_cast<double>(total_us_.load(std::memory_order_relaxed)) /
-           1e6;
+    return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) /
+           1e9;
   }
   void reset() {
     count_.store(0, std::memory_order_relaxed);
-    total_us_.store(0, std::memory_order_relaxed);
+    total_ns_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::int64_t> total_us_{0};
+  std::atomic<std::int64_t> total_ns_{0};
 };
 
 /// Returns the counter / timer / histogram / gauge registered under
@@ -74,18 +79,20 @@ TimerStat& timer(const std::string& name);
 Histogram& histogram(const std::string& name);
 Gauge& gauge(const std::string& name);
 
-/// RAII wall-clock measurement added to timer(name) on destruction.  The
+/// RAII wall-clock measurement added to a TimerStat on destruction.  The
 /// clock is std::chrono::steady_clock (never wall time, which can step) and
 /// the recording happens on unwind, so a scope that exits by exception is
-/// still measured.
+/// still measured.  Per-event scopes pass a handle bound once; the by-name
+/// form looks the timer up in the registry on every construction.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const std::string& name)
-      : stat_(timer(name)), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(TimerStat& stat)
+      : stat_(stat), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(const std::string& name) : ScopedTimer(timer(name)) {}
   ~ScopedTimer() noexcept {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    stat_.add_micros(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+    stat_.add_nanos(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
   }
   ScopedTimer(const ScopedTimer&) = delete;

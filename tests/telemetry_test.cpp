@@ -55,7 +55,7 @@ TEST(Prometheus, RendersEveryRegistrySection) {
   metrics::reset();
   metrics::counter("prom.test.events").add(42);
   metrics::gauge("prom.test.level").set(-7);
-  metrics::timer("prom.test.phase").add_micros(1'500'000);
+  metrics::timer("prom.test.phase").add_nanos(1'500'000'000);
   metrics::histogram("prom.test.sizes").record(1);
   metrics::histogram("prom.test.sizes").record(100);
   metrics::histogram("prom.test.sizes").record(100);

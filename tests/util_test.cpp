@@ -417,6 +417,18 @@ TEST(Metrics, RegistryTimersAndSnapshot) {
   EXPECT_EQ(metrics::counter("test.events").value(), 0u);
 }
 
+// Each sample is kept in nanoseconds, so scopes far shorter than a
+// microsecond still add up instead of truncating to zero one by one.
+TEST(Metrics, SubMicrosecondScopesAccumulate) {
+  metrics::TimerStat& stat = metrics::timer("test.empty_scopes");
+  stat.reset();
+  for (int i = 0; i < 1000; ++i) {
+    const metrics::ScopedTimer timer("test.empty_scopes");
+  }
+  EXPECT_EQ(stat.count(), 1000u);
+  EXPECT_GT(stat.total_seconds(), 0.0);
+}
+
 TEST(Metrics, GaugeSetAddAndSnapshot) {
   metrics::reset();
   metrics::Gauge g;

@@ -9,9 +9,9 @@
 #      multi-shard ingest stress (StreamStress) — which must report zero
 #      races;
 #   3. configure + build an ASan/UBSan tree
-#      (-DSSCOR_SANITIZE=address,undefined), run the match-context parity
-#      and parallel-determinism tests under it, and smoke-run the
-#      decode_cache bench with a tiny pair count;
+#      (-DSSCOR_SANITIZE=address,undefined), run the match-context parity,
+#      parallel-determinism and hot-path allocation tests under it, and
+#      smoke-run the decode_cache bench with a tiny pair count;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -59,6 +59,11 @@
 #      soak: paced feeder -> fault-injecting chaos-proxy -> ASan/UBSan
 #      daemon, accumulating >= 1000 injected wire faults across rounds
 #      with the daemon exiting cleanly every time (DESIGN.md §16).
+#  12. repository benchmark smoke: `python3 perfbench/smoke_test.py` runs
+#      every BENCHMARK.json workload (sweep, feed, replay) at tiny size,
+#      untraced and traced, through its correctness gate (byte-identical
+#      figure CSVs, verdict digests equal to the in-process reference) and
+#      checks every declared metric is reported with its unit.
 #
 # Every step runs under its own timeout(1) budget — a hung build or a
 # wedged decode fails that step instead of stalling the whole run — and
@@ -101,9 +106,10 @@ step_3() {  # ASan/UBSan build + match-context parity + bench smoke
     -DSSCOR_SIMD=ON \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
-    --target match_context_test parallel_determinism_test decode_cache
+    --target match_context_test parallel_determinism_test hot_path_test \
+             decode_cache
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel'
+    -R 'MatchContext|Parallel|HotPath'
   # 400 packets is near the smallest flow that still fits the default
   # 24-bit watermark (192 redundant bit pairs).
   "$asan_dir/bench/decode_cache" --pairs=3 --packets=400 --reps=1 \
@@ -447,6 +453,13 @@ step_11() {  # live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak
   fi
 }
 
+step_12() {  # repository benchmark smoke: all workloads, tiny size
+  # run.py builds perfbench/ into .bench_build/ at the repository root and
+  # must run from there.
+  cd "$repo_root"
+  python3 perfbench/smoke_test.py
+}
+
 step_names=(
   "default build + full test suite"
   "ThreadSanitizer build + concurrency smoke tests"
@@ -459,10 +472,11 @@ step_names=(
   "live ops surface: stats endpoints + top + observer-only parity"
   "cluster sweep: journal-merge fuzz + 4-shard kill/resume/merge"
   "live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak"
+  "repository benchmark smoke: every workload, tiny, traced + untraced"
 )
 # Per-step wall-clock budgets (seconds).  Generous: these exist to convert
 # a hang into a step failure, not to race the machine.
-step_timeouts=(2400 1800 1800 600 2400 2400 1200 1800 900 1200 1800)
+step_timeouts=(2400 1800 1800 600 2400 2400 1200 1800 900 1200 1800 1200)
 
 # Self-reexec dispatcher: `timeout` runs an external command, so each step
 # re-enters this script with --step N and the same directory arguments.
@@ -479,19 +493,19 @@ fi
 
 overall=0
 step_results=()
-for n in 1 2 3 4 5 6 7 8 9 10 11; do
+for n in 1 2 3 4 5 6 7 8 9 10 11 12; do
   name="${step_names[$((n - 1))]}"
   limit="${step_timeouts[$((n - 1))]}"
-  echo "== [$n/11] $name (timeout ${limit}s) =="
+  echo "== [$n/12] $name (timeout ${limit}s) =="
   if timeout --foreground --kill-after=30 "$limit" \
     "$0" --step "$n" "$build_dir" "$tsan_dir" "$asan_dir" "$scalar_dir"; then
-    step_results+=("PASS  [$n/11] $name")
+    step_results+=("PASS  [$n/12] $name")
   else
     rc=$?
     if [[ $rc -eq 124 ]]; then
-      step_results+=("FAIL  [$n/11] $name (timed out after ${limit}s)")
+      step_results+=("FAIL  [$n/12] $name (timed out after ${limit}s)")
     else
-      step_results+=("FAIL  [$n/11] $name (exit $rc)")
+      step_results+=("FAIL  [$n/12] $name (exit $rc)")
     fi
     overall=1
   fi
