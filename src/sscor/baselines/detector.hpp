@@ -39,9 +39,8 @@ class Detector {
 
   /// The MatchContextKey this detector's matching phase would use, or
   /// nullopt when the detector cannot profit from a shared MatchContext
-  /// (passive baselines; Greedy, whose cost model bypasses the full scan).
-  /// Detectors of the same key within one harness sweep can share a single
-  /// context per flow pair.
+  /// (the passive baselines).  Detectors of the same key within one
+  /// harness sweep can share a single context per flow pair.
   virtual std::optional<MatchContextKey> shared_match_key() const {
     return std::nullopt;
   }
@@ -90,9 +89,9 @@ class CorrelatorDetector final : public Detector {
   }
 
   std::optional<MatchContextKey> shared_match_key() const override {
-    // Greedy never materialises the matching sets (its cost model is the
-    // binary-search probes), so sharing a context buys it nothing.
-    if (correlator_.algorithm() == Algorithm::kGreedy) return std::nullopt;
+    // Every correlator decodes from the pair's context, Greedy included:
+    // it reads its windows from the scan and is charged the probes of its
+    // reference binary searches, so its cost is the same either way.
     return MatchContextKey{correlator_.config().max_delay,
                            correlator_.config().size_constraint};
   }

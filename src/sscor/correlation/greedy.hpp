@@ -26,11 +26,12 @@ namespace sscor {
 /// Runs Greedy.  `upstream` is the watermarked upstream flow the schedule
 /// indexes into; `downstream` the suspicious flow.
 ///
-/// `context` is accepted for API uniformity with the other correlators but
-/// deliberately NOT consumed: Greedy's reported cost comes from the ~4rl
-/// binary-search window probes, not the full matching scan, so decoding
-/// from cached scan output would change the paper's cost metric (fig. 7).
-/// A non-null context is still validated against the pair and key.
+/// `context` is validated against the pair and key but not consumed: this
+/// scalar runner is the reference for Greedy's cost model, the ~4rl
+/// binary-search window probes (fig. 7).  The batched engine decodes Greedy
+/// from a context's scan output instead and charges the same probes
+/// (lower_bound_probes of each window bound); the parity suites compare
+/// the two.
 CorrelationResult run_greedy(const DecodePlan& plan, const Flow& upstream,
                              const Flow& downstream,
                              const CorrelatorConfig& config,

@@ -784,21 +784,26 @@ CorrelationResult run_greedy_batch(const CorrelatorConfig& config,
   CostMeter cost;
   CancelProbe probe(config.budget);
   const std::span<const TimeUs> down_ts = ctx.downstream_ts();
-  const std::span<const TimeUs> up_ts = ctx.upstream_ts();
   const std::uint32_t n = plan.slot_count();
   const auto slot_up = plan.slot_up();
   const auto prefer = plan.slot_prefer();
   const auto up_q = ctx.upstream_quantized_sizes();
   const auto down_q = ctx.downstream_quantized_sizes();
+  const auto windows = ctx.windows();
+  const auto m = static_cast<std::uint32_t>(down_ts.size());
 
-  // Locate each relevant packet's preferred candidate; the context's
-  // pre-quantized size tables replace the per-examination quantization
-  // (each examined candidate still counts one access).
+  // Locate each relevant packet's preferred candidate.  The window comes
+  // from the context's scan, which finds exactly the bounds the reference's
+  // two binary searches do; the charge is those searches' probe count, a
+  // closed form of the two bounds.  The context's pre-quantized size tables
+  // replace the per-examination quantization (each examined candidate
+  // still counts one access).
   ws.choice.assign(n, kNoChoice);
   for (std::uint32_t s = 0; s < n; ++s) {
     if (probe.should_stop(cost.accesses())) break;
-    const MatchWindow window =
-        find_match_window(up_ts[slot_up[s]], down_ts, config.max_delay, cost);
+    const MatchWindow window = windows[slot_up[s]];
+    cost.count(lower_bound_probes(m, window.lo) +
+               lower_bound_probes(m, window.hi));
     if (window.empty()) continue;
     if (!config.size_constraint) {
       ws.choice[s] = prefer[s] ? window.lo : window.hi - 1;

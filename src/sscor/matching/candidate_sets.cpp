@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "sscor/traffic/size_model.hpp"
 #include "sscor/util/error.hpp"
@@ -26,6 +27,21 @@ CandidateSets CandidateSets::build_from_windows(
     std::span<const std::uint32_t> down_quantized) {
   CandidateSets out;
   out.ranges_.resize(windows.size());
+  if (!size) {
+    // Without a size filter every window is its own candidate set: index
+    // the downstream packets once and let each set be its window's slice.
+    std::vector<std::uint32_t> indices(downstream.size());
+    std::iota(indices.begin(), indices.end(), std::uint32_t{0});
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const MatchWindow& window = windows[i];
+      require(window.hi <= indices.size(),
+              "matching window extends past the downstream flow");
+      out.ranges_[i] = Range{window.lo, window.lo + window.size()};
+    }
+    out.flat_ = std::make_shared<const std::vector<std::uint32_t>>(
+        std::move(indices));
+    return out;
+  }
   std::size_t total = 0;
   for (const auto& window : windows) total += window.size();
   std::vector<std::uint32_t> flat;
@@ -34,13 +50,6 @@ CandidateSets CandidateSets::build_from_windows(
     const auto& window = windows[i];
     Range& range = out.ranges_[i];
     range.begin = flat.size();
-    if (!size) {
-      for (std::uint32_t j = window.lo; j < window.hi; ++j) {
-        flat.push_back(j);
-      }
-      range.end = flat.size();
-      continue;
-    }
     const std::uint32_t quantized_up =
         up_quantized.empty()
             ? traffic::quantize_size(upstream.packet(i).size,

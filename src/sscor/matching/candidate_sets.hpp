@@ -47,7 +47,10 @@ class CandidateSets {
   /// entry per downstream packet, from MatchContext's flat kernel sweep) so
   /// the overlapping windows stop re-quantizing the same packet.  Cost
   /// accounting is identical to build() either way: each *examined*
-  /// downstream candidate still counts one size read.
+  /// downstream candidate still counts one size read.  Without a size
+  /// constraint nothing is examined and nothing is copied: each set is its
+  /// window, a slice of one index array over the downstream packets, so
+  /// the build is O(m) whatever the windows' overlap.
   static CandidateSets build_from_windows(
       std::span<const MatchWindow> windows, const Flow& upstream,
       const Flow& downstream, const std::optional<SizeConstraint>& size,
@@ -87,12 +90,15 @@ class CandidateSets {
 
  private:
   // All candidate lists live in one contiguous array; each upstream packet
-  // owns the half-open slice [begin, end).  Both prune variants only ever
-  // trim a prefix / suffix of a (sorted) list, so pruning just narrows the
-  // slice and the flat array itself is immutable once built — which lets
-  // copies share it (MatchContext retains built and pruned variants; the
-  // robust correlator prunes a copy), so copying a CandidateSets costs one
-  // small ranges-vector copy instead of one allocation per upstream packet.
+  // owns the half-open slice [begin, end).  A size-filtered build stores
+  // each packet's surviving candidates back to back; an unfiltered one
+  // stores the downstream indices 0..m-1 once, and overlapping windows
+  // share their slices of it.  Both prune variants only ever trim a
+  // prefix / suffix of a (sorted) list, so pruning just narrows the slice
+  // and the flat array itself is immutable once built — which lets copies
+  // share it (MatchContext retains built and pruned variants; the robust
+  // correlator prunes a copy), so copying a CandidateSets costs one small
+  // ranges-vector copy instead of one allocation per upstream packet.
   struct Range {
     std::size_t begin = 0;
     std::size_t end = 0;

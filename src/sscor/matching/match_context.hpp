@@ -5,9 +5,11 @@
 // matching windows under the [0, Delta] delay constraint (paper §3.2),
 // materialise per-upstream-packet candidate sets (optionally size-filtered),
 // and prune candidates that appear in no complete order-preserving
-// assignment.  The evaluation pipeline runs three or more decoders over the
-// same (upstream, downstream) pair, so rebuilding that artifact per decoder
-// pays the dominant matching cost several times over.
+// assignment.  Greedy needs only the windows of its embedding packets; the
+// batched engine reads them from here too.  The evaluation pipeline runs
+// three or more decoders over the same (upstream, downstream) pair, so
+// rebuilding that artifact per decoder pays the dominant matching cost
+// several times over.
 //
 // MatchContext computes the artifact once and shares it: it is immutable
 // after build() and holds
@@ -23,7 +25,10 @@
 // algorithm consuming the context charges its own CostMeter exactly the
 // recorded counts, so the paper's reported packet-access metric is
 // byte-identical whether the matching phase ran cold or was replayed from
-// the cache.  The parity tests pin this down for every algorithm.
+// the cache.  Greedy replays no recorded count: its cold cost is two
+// binary searches per embedding packet, and it is charged their probe
+// count (lower_bound_probes) from each window's bounds.  The parity tests
+// pin this down for every algorithm.
 //
 // Lifetime: the context stores views into the two flows, which must outlive
 // it.  A context is keyed by (upstream, downstream, Delta, size constraint);
@@ -84,7 +89,8 @@ class MatchContext {
     return downstream_->timestamps();
   }
 
-  /// The scan_match_windows output over the pair.
+  /// The scan_match_windows output over the pair.  Without a size
+  /// constraint the built candidate sets are exactly these windows.
   std::span<const MatchWindow> windows() const { return windows_; }
 
   /// Upstream packet sizes quantized to the size constraint's block (empty

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -60,12 +61,40 @@ void scan_match_windows_batched(std::span<const TimeUs> upstream,
                                 std::vector<MatchWindow>& out);
 
 /// Computes the matching window of a single timestamp by binary search —
-/// O(log m) accesses.  Used by the standalone Greedy algorithm, which only
-/// needs the embedding packets' windows and therefore avoids the full scan
-/// (this is what keeps its measured cost nearly flat in chaff; see
-/// DESIGN.md §4).
+/// O(log m) accesses.  This is Greedy's cost model: it only needs the
+/// embedding packets' windows, so it is charged the probes of two binary
+/// searches per packet instead of the full scan (what keeps its measured
+/// cost nearly flat in chaff; see DESIGN.md §4).  The scalar run_greedy
+/// searches through this function; the batched engine reads the windows
+/// from its MatchContext and charges lower_bound_probes() instead.
 MatchWindow find_match_window(TimeUs upstream_time,
                               std::span<const TimeUs> downstream,
                               DurationUs max_delay, CostMeter& cost);
+
+/// The number of probes find_match_window's lower-bound search over `n`
+/// sorted elements makes when its answer is `answer` (0..n).  The count is
+/// a pure function of the two: each probe at the midpoint of the remaining
+/// range keeps either the lower half (answer <= mid) or the upper one, so
+/// the search path is replayed on indices alone, with no element read.
+/// The loop runs a fixed bit_width(n) steps (an exhausted range stops
+/// counting: there lo == answer, so it stays exhausted) and selects each
+/// step's half arithmetically, so the only branch is the loop's own.
+constexpr std::uint32_t lower_bound_probes(std::uint32_t n,
+                                           std::uint32_t answer) {
+  std::uint32_t probes = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t size = n;
+  for (auto step = static_cast<std::uint32_t>(std::bit_width(n)); step > 0;
+       --step) {
+    probes += size != 0 ? 1 : 0;
+    const std::uint32_t half = size / 2;
+    const std::uint32_t upper = lo + half < answer ? 1 : 0;
+    // Upper half: lo moves past the probe and size - half - 1 remain,
+    // which is half for an odd size and half - 1 for an even one.
+    lo += upper * (half + 1);
+    size = half - (upper & ~size);
+  }
+  return probes;
+}
 
 }  // namespace sscor

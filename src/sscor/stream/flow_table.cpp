@@ -67,6 +67,8 @@ FlowTable::FlowTable(FlowTableConfig config) : config_(config) {
   require(config.max_buffered_packets == 0 ||
               config.max_buffered_packets >= config.shards,
           "max_buffered_packets must be >= the shard count");
+  // A negative TTL would split a flow at every packet.
+  require(config.idle_ttl >= 0, "idle_ttl must be non-negative");
   // Floor division keeps the sum of per-shard budgets within the
   // configured totals, so the table-wide bounds hold unconditionally.
   max_flows_per_shard_ = config.max_flows / config.shards;

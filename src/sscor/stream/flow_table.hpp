@@ -145,7 +145,8 @@ struct FlowTableConfig {
   /// Maximum buffered packets (as charged via add_buffered()) across all
   /// shards; 0 = unbounded.  When set it must be >= `shards`.
   std::size_t max_buffered_packets = 0;
-  /// Evict flows idle longer than this (event time); 0 = no TTL.
+  /// Evict flows idle longer than this (event time); 0 = no TTL.  Must
+  /// not be negative.
   DurationUs idle_ttl = 0;
   /// Per-flow timestamp ring capacity.
   std::size_t ring_capacity = 8;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace sscor {
 
@@ -32,6 +33,12 @@ constexpr DurationUs seconds(double s) {
   return static_cast<DurationUs>(s * static_cast<double>(kMicrosPerSecond) +
                                  (s >= 0 ? 0.5 : -0.5));
 }
+
+/// seconds(double) for a value from outside the program (a command-line
+/// flag): throws InvalidArgument naming `name` when `s` is not finite, is
+/// negative, or has a microsecond count that does not fit in DurationUs —
+/// the cases where the plain conversion is undefined or meaningless.
+DurationUs checked_seconds(double s, std::string_view name);
 
 /// Converts whole milliseconds to microseconds.
 constexpr DurationUs millis(std::int64_t ms) { return ms * kMicrosPerMilli; }

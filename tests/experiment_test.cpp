@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "sscor/experiment/dataset.hpp"
 #include "sscor/experiment/evaluation.hpp"
 #include "sscor/experiment/sweep.hpp"
+#include "sscor/util/metrics.hpp"
 
 namespace sscor::experiment {
 namespace {
@@ -145,6 +150,49 @@ TEST(Sweep, ProducesOneRowPerAxisValue) {
   delays.max_delays = {0, seconds(std::int64_t{1})};
   const TextTable table2 = run_sweep(config, delays);
   EXPECT_EQ(table2.rows(), 2u);
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(SSCOR_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden file " << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The paper's cost figures (7 and 9) at a small scale, pinned byte for byte
+// together with the exact packet-access total behind each: a change to any
+// decoder's matching phase or cost accounting shows here, not only in the
+// figures' rounded means.
+TEST(GoldenCost, Fig07AndFig09MatchCheckedInOutputs) {
+  ExperimentConfig config;
+  config.flows = 8;
+  config.packets_per_flow = 600;
+  config.fp_pairs = 40;
+  config.threads = 1;
+  struct Golden {
+    const char* file;
+    Metric metric;
+    std::uint64_t packets_accessed;
+  };
+  const Golden goldens[] = {
+      {"fig07_small.csv", Metric::kCostCorrelated, 6'396'894},
+      {"fig09_small.csv", Metric::kCostUncorrelated, 11'497'191},
+  };
+  const metrics::Counter& accessed =
+      metrics::counter("eval.packets_accessed");
+  for (const Golden& golden : goldens) {
+    SweepSpec spec;
+    spec.metric = golden.metric;
+    spec.axis = SweepAxis::kChaffRate;
+    spec.fixed_delay = kFig3FixedDelay;
+    const std::uint64_t before = accessed.value();
+    const TextTable table = run_sweep(config, spec);
+    EXPECT_EQ(accessed.value() - before, golden.packets_accessed)
+        << golden.file;
+    EXPECT_EQ(table.to_csv(), read_golden(golden.file)) << golden.file;
+  }
 }
 
 TEST(Sweep, MetricNames) {

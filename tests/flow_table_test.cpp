@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "sscor/stream/flow_table.hpp"
 #include "sscor/stream/stream_engine.hpp"
 #include "sscor/stream/telemetry.hpp"
+#include "sscor/util/error.hpp"
 
 namespace sscor::stream {
 namespace {
@@ -132,6 +134,22 @@ TEST(FlowTable, IdleTtlEvictsAndSplitsFlows) {
   EXPECT_EQ(evicted[0].cause, EvictionCause::kIdle);
   EXPECT_EQ(b->first_seen_seq, 4u);
   EXPECT_EQ(b->packets, 1u);
+}
+
+TEST(FlowTable, RejectsNegativeIdleTtl) {
+  // A negative TTL would split the flow at every packet, so no flow would
+  // ever live long enough to yield a verdict.  INT64_MIN is what a NaN
+  // seconds value converts to on x86.
+  for (const DurationUs ttl :
+       {DurationUs{-1}, -seconds(std::int64_t{1}),
+        std::numeric_limits<DurationUs>::min()}) {
+    FlowTableConfig config;
+    config.idle_ttl = ttl;
+    EXPECT_THROW(FlowTable{config}, InvalidArgument) << "ttl " << ttl;
+  }
+  FlowTableConfig config;
+  config.idle_ttl = 0;
+  EXPECT_NO_THROW(FlowTable{config});
 }
 
 TEST(FlowTable, MemoryCapHoldsUnconditionally) {

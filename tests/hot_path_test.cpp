@@ -3,7 +3,8 @@
 // A passing require()/check_invariant() is one compare-and-branch: the
 // message is built only when the check fails.  The engine bumps its
 // per-event metrics through handles bound once, never through a by-name
-// registry lookup.  These tests pin both properties by counting heap bytes
+// registry lookup.  A MatchContext build without a size constraint copies
+// no candidate list.  These tests pin these properties by counting heap bytes
 // with the fuzz library's AllocationGuard (the global operator new
 // replacement linked into this binary), and pin that a failing check still
 // throws the same exception type with the same "<function>: <what>" text.
@@ -23,8 +24,12 @@
 #include "sscor/experiment/stream_corpus.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/fuzz/alloc_guard.hpp"
+#include "sscor/matching/match_context.hpp"
 #include "sscor/net/five_tuple.hpp"
 #include "sscor/stream/stream_engine.hpp"
+#include "sscor/traffic/chaff.hpp"
+#include "sscor/traffic/interactive_model.hpp"
+#include "sscor/traffic/perturbation.hpp"
 #include "sscor/util/error.hpp"
 
 namespace sscor {
@@ -143,6 +148,37 @@ TEST(HotPath, BufferAndDecidedPairAccessorsDoNotAllocate) {
   EXPECT_EQ(allocated, 0u);
   EXPECT_EQ(seen, 10'000 * (last_up + seconds(std::int64_t{60})));
   EXPECT_FALSE(undecided);
+}
+
+TEST(HotPath, UnconstrainedContextBuildAllocatesLinearly) {
+  // The sweep's heaviest pairs: 7 s of perturbation and 5 pkt/s of chaff
+  // make every matching window span many downstream packets.  Without a
+  // size constraint the candidate sets are those windows, so the build
+  // must allocate in proportion to the two flows, not to the windows'
+  // total width.
+  const traffic::InteractiveSessionModel model;
+  const Flow up = model.generate(1000, 0, 71);
+  const traffic::UniformPerturber perturber(seconds(std::int64_t{7}), 72);
+  const traffic::PoissonChaffInjector chaff(5.0, 73);
+  const Flow down = chaff.apply(perturber.apply(up));
+  const DurationUs max_delay = seconds(std::int64_t{7});
+  // Warm-up: binds the build's histogram handles.
+  (void)MatchContext::build(up, down, max_delay, std::nullopt);
+
+  std::size_t allocated = 0;
+  bool pruned = false;
+  {
+    const AllocationGuard guard(kBudget);
+    const MatchContext context =
+        MatchContext::build(up, down, max_delay, std::nullopt);
+    pruned = context.prune_ok();
+    allocated = guard.allocated_bytes();
+  }
+  EXPECT_TRUE(pruned);
+  const std::size_t packets = up.size() + down.size();
+  EXPECT_LT(allocated, 24 * packets)
+      << allocated << " bytes for " << up.size() << " + " << down.size()
+      << " packets";
 }
 
 /// Runs `body`, which must throw exactly `E`; returns its what().

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
+#include <vector>
 
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/matching/cost_meter.hpp"
@@ -126,7 +128,9 @@ TEST_P(MatchWindowPropertyTest, ScanMatchesNaiveReference) {
   }
   EXPECT_LE(paper_cost.accesses(), 2 * down.size() + 3 * up.size());
 
-  // Binary-search windows agree with the scan.
+  // Binary-search windows agree with the scan, and their cost is the probe
+  // count the batched Greedy charges from the window's bounds.
+  const auto m = static_cast<std::uint32_t>(down.size());
   for (std::size_t i = 0; i < up.size(); ++i) {
     CostMeter bs_cost;
     const auto window = find_match_window(up[i], down, delta, bs_cost);
@@ -136,11 +140,38 @@ TEST_P(MatchWindowPropertyTest, ScanMatchesNaiveReference) {
       EXPECT_EQ(window, expected[i]);
     }
     EXPECT_LE(bs_cost.accesses(), 2 * (std::bit_width(down.size()) + 1));
+    EXPECT_EQ(bs_cost.accesses(), lower_bound_probes(m, window.lo) +
+                                      lower_bound_probes(m, window.hi))
+        << "window " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchWindowPropertyTest,
                          testing::Range(0, 16));
+
+TEST(MatchWindows, ProbeCountIsExactForEverySizeAndAnswer) {
+  // Even timestamps 0, 2, 4, ...: searching 2k answers k for every k in
+  // 0..n.  With zero delay the window is [k, min(k + 1, n)); with a delay
+  // past the last packet it is [k, n), so a wrong count for answer k
+  // cannot hide behind a compensating error for its neighbour.
+  constexpr std::uint32_t kMaxSize = 1024;
+  std::vector<TimeUs> all(kMaxSize);
+  for (std::uint32_t j = 0; j < kMaxSize; ++j) all[j] = 2 * TimeUs{j};
+  for (std::uint32_t n = 0; n <= kMaxSize; ++n) {
+    const std::span<const TimeUs> down(all.data(), n);
+    for (std::uint32_t k = 0; k <= n; ++k) {
+      for (const DurationUs delta : {DurationUs{0}, 2 * TimeUs{kMaxSize}}) {
+        CostMeter cost;
+        const auto window = find_match_window(2 * TimeUs{k}, down, delta,
+                                              cost);
+        ASSERT_EQ(window.lo, k);
+        ASSERT_EQ(cost.accesses(), lower_bound_probes(n, window.lo) +
+                                       lower_bound_probes(n, window.hi))
+            << "size " << n << ", answer " << k << ", delay " << delta;
+      }
+    }
+  }
+}
 
 Flow flow_of(std::vector<TimeUs> ts) {
   return Flow::from_timestamps(ts);
@@ -158,6 +189,34 @@ TEST(CandidateSets, BuildWithoutSizeConstraint) {
   EXPECT_EQ(std::vector<std::uint32_t>(sets.set(1).begin(), sets.set(1).end()),
             (std::vector<std::uint32_t>{2, 3}));
   EXPECT_TRUE(sets.complete());
+}
+
+TEST(CandidateSets, UnconstrainedSetsAreTheirWindows) {
+  const traffic::InteractiveSessionModel model;
+  const Flow up = model.generate(200, 0, 61);
+  const traffic::UniformPerturber perturber(seconds(std::int64_t{3}), 62);
+  const traffic::PoissonChaffInjector chaff(4.0, 63);
+  const Flow down = chaff.apply(perturber.apply(up));
+  CostMeter scan_cost;
+  const auto windows = scan_match_windows(
+      up.timestamps(), down.timestamps(), seconds(std::int64_t{3}),
+      scan_cost);
+  CostMeter build_cost;
+  const auto sets = CandidateSets::build(up, down, seconds(std::int64_t{3}),
+                                         std::nullopt, build_cost);
+  // Only the scan is charged: the sets read no packet.
+  EXPECT_EQ(build_cost.accesses(), scan_cost.accesses());
+  ASSERT_EQ(sets.upstream_size(), windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t j = windows[i].lo; j < windows[i].hi; ++j) {
+      expected.push_back(j);
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(sets.set(i).begin(),
+                                         sets.set(i).end()),
+              expected)
+        << "set " << i;
+  }
 }
 
 TEST(CandidateSets, SizeConstraintFilters) {

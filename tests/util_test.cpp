@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -31,6 +32,29 @@ TEST(Time, Conversions) {
   EXPECT_DOUBLE_EQ(to_millis(1'500), 1.5);
   EXPECT_EQ(seconds(0.0005), 500);
   EXPECT_EQ(seconds(-0.0005), -500);
+}
+
+TEST(Time, CheckedSecondsRefusesWhatCannotConvert) {
+  EXPECT_EQ(checked_seconds(0.0, "--ttl-s"), 0);
+  EXPECT_EQ(checked_seconds(2.5, "--ttl-s"), 2'500'000);
+  EXPECT_EQ(checked_seconds(9e12, "--ttl-s"), seconds(9e12));
+  const auto refusal = [](double s) {
+    try {
+      (void)checked_seconds(s, "--max-delay-s");
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double s : {-1.0, -1e-9, nan, inf, -inf, 1e13, 9.3e12}) {
+    const std::string text = refusal(s);
+    EXPECT_EQ(text.rfind("--max-delay-s must be ", 0), 0u)
+        << s << " gave: " << text;
+  }
+  EXPECT_NE(refusal(-1.0).find("non-negative"), std::string::npos);
+  EXPECT_NE(refusal(nan).find("finite"), std::string::npos);
 }
 
 TEST(Time, FormatDuration) {

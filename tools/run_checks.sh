@@ -10,8 +10,10 @@
 #      races;
 #   3. configure + build an ASan/UBSan tree
 #      (-DSSCOR_SANITIZE=address,undefined), run the match-context parity,
-#      parallel-determinism and hot-path allocation tests under it, and
-#      smoke-run the decode_cache bench with a tiny pair count;
+#      parallel-determinism and hot-path allocation tests, the matching
+#      window / probe-count and candidate-set tests and the golden cost
+#      figures under it, and smoke-run the decode_cache bench with a tiny
+#      pair count;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -100,16 +102,16 @@ step_2() {  # ThreadSanitizer build + concurrency smoke tests
     -R 'TsanSmoke|ThreadPool|Parallel|Span|Histogram|DecodeTrace|StreamStress'
 }
 
-step_3() {  # ASan/UBSan build + match-context parity + bench smoke
+step_3() {  # ASan/UBSan build + matching/parity/golden tests + bench smoke
   cmake -B "$asan_dir" -S "$repo_root" \
     -DSSCOR_SANITIZE=address,undefined \
     -DSSCOR_SIMD=ON \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
     --target match_context_test parallel_determinism_test hot_path_test \
-             decode_cache
+             matching_test experiment_test decode_cache
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel|HotPath'
+    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost'
   # 400 packets is near the smallest flow that still fits the default
   # 24-bit watermark (192 redundant bit pairs).
   "$asan_dir/bench/decode_cache" --pairs=3 --packets=400 --reps=1 \

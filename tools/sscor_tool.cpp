@@ -256,6 +256,13 @@ class Args {
     return value;
   }
 
+  /// A seconds-valued flag as a duration: every such flag converts here,
+  /// so NaN, infinite, negative and out-of-range values are refused by
+  /// name instead of reaching an undefined conversion.
+  DurationUs duration_s(const std::string& name, double fallback) const {
+    return checked_seconds(number(name, fallback), "--" + name);
+  }
+
   bool flag(const std::string& name) const { return get(name).has_value(); }
 
  private:
@@ -355,7 +362,7 @@ int cmd_embed(const Args& args) {
 
 int cmd_perturb(const Args& args) {
   const auto flows = extract_flows_from_file(args.require_str("in"));
-  const auto delta = seconds(args.number("max-delay-s", 7.0));
+  const auto delta = args.duration_s("max-delay-s", 7.0);
   const double chaff_rate = args.number("chaff", 3.0);
   const auto seed = args.u64("seed", 2);
 
@@ -391,7 +398,7 @@ int cmd_detect(const Args& args) {
   const WatermarkSecret secret = read_secret_file(args.require_str("key"));
 
   CorrelatorConfig config;
-  config.max_delay = seconds(args.number("max-delay-s", 7.0));
+  config.max_delay = args.duration_s("max-delay-s", 7.0);
   config.hamming_threshold =
       static_cast<std::uint32_t>(args.u64("threshold", 7));
   const Algorithm algorithm =
@@ -675,7 +682,7 @@ int cmd_watch(const Args& args) {
   }
 
   CorrelatorConfig config;
-  config.max_delay = seconds(args.number("max-delay-s", 7.0));
+  config.max_delay = args.duration_s("max-delay-s", 7.0);
   config.hamming_threshold =
       static_cast<std::uint32_t>(args.u64("threshold", 7));
 
@@ -689,7 +696,7 @@ int cmd_watch(const Args& args) {
   options.table.shards = args.u64("shards", 4);
   options.table.max_flows = args.u64("max-flows", 0);
   options.table.max_buffered_packets = args.u64("max-buffered-packets", 0);
-  options.table.idle_ttl = seconds(args.number("ttl-s", 0.0));
+  options.table.idle_ttl = args.duration_s("ttl-s", 0.0);
   options.admission.deadline_us =
       millis(static_cast<std::int64_t>(args.u64("deadline-ms", 0)));
   options.admission.max_cost_per_attempt = args.u64("budget", 0);
@@ -764,7 +771,7 @@ int cmd_watch(const Args& args) {
   const auto metrics_interval = args.u64_positive("metrics-interval", 0);
   const std::string stats_addr = args.get("stats-addr").value_or("");
   const std::string event_log_path = args.get("event-log").value_or("");
-  const double linger_s = args.number("linger-s", 0.0);
+  const DurationUs linger = args.duration_s("linger-s", 0.0);
 
   std::printf("watching %s (%zu upstream(s), %zu shard(s), algorithm %s)\n",
               in.c_str(), upstreams.size(), options.table.shards,
@@ -910,13 +917,14 @@ int cmd_watch(const Args& args) {
     experiment::write_metrics_json(metrics_json);
     std::fprintf(stderr, "metrics json written: %s\n", metrics_json.c_str());
   }
-  if (telemetry.running() && signal == 0 && linger_s > 0.0) {
+  if (telemetry.running() && signal == 0 && linger > 0) {
     // The verdict stream is complete at this point; flush it so a reader
     // (or a signal that kills the lingering daemon) never loses it to
     // stdio buffering.
     std::fflush(stdout);
-    std::fprintf(stderr, "stats server lingering %.1fs\n", linger_s);
-    std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
+    std::fprintf(stderr, "stats server lingering %.1fs\n",
+                 to_seconds(linger));
+    std::this_thread::sleep_for(std::chrono::microseconds(linger));
   }
   if (telemetry.running()) {
     std::fprintf(stderr, "stats server served %llu request(s)\n",
