@@ -69,16 +69,8 @@ class CorrelatorDetector final : public Detector {
   DetectionOutcome detect_with_context(
       const WatermarkedFlow& watermarked, const Flow& suspicious,
       const MatchContext* context) const override {
-    // A matching context routes through the batched SoA engine (identical
-    // results, but the decode reuses the thread workspace); otherwise the
-    // scalar path handles the cold run or drops the stale context.
     const CorrelationResult r =
-        context != nullptr &&
-                context->matches(watermarked.flow, suspicious,
-                                 correlator_.config().max_delay,
-                                 correlator_.config().size_constraint)
-            ? correlator_.correlate_prepared(watermarked, suspicious, *context)
-            : correlator_.correlate(watermarked, suspicious, context);
+        correlator_.correlate(watermarked, suspicious, context);
     DetectionOutcome outcome{r.correlated, r.cost, std::nullopt};
     // Rejections before decoding carry no meaningful distance; report the
     // worst score so threshold sweeps treat them as maximally unlikely.

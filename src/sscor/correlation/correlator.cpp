@@ -5,10 +5,7 @@
 #include <exception>
 #include <optional>
 
-#include "sscor/correlation/brute_force.hpp"
-#include "sscor/correlation/greedy.hpp"
-#include "sscor/correlation/greedy_plus.hpp"
-#include "sscor/correlation/greedy_star.hpp"
+#include "sscor/matching/batch_kernel.hpp"
 #include "sscor/util/error.hpp"
 #include "sscor/util/metrics.hpp"
 #include "sscor/util/trace.hpp"
@@ -18,12 +15,9 @@ namespace {
 
 /// One decode-introspection row for a finished run: per-bit outcome from
 /// the best watermark vs the embedded one, plus the pair's matching-window
-/// shape.  Only called when decode tracing is on; the extra window scan
-/// uses a throwaway meter, so the reported cost metric is untouched.
-void record_decode_trace(const Flow& upstream, const Watermark& target,
-                         const Flow& suspicious,
-                         const CorrelatorConfig& config,
-                         const MatchContext* context,
+/// shape read from the run's context.  Only called when decode tracing is
+/// on.
+void record_decode_trace(const Watermark& target, const MatchContext& context,
                          const CorrelationResult& result) {
   trace::DecodeRecord record;
   record.algorithm = to_string(result.algorithm);
@@ -43,23 +37,14 @@ void record_decode_trace(const Flow& upstream, const Watermark& target,
     record.bit_outcomes.assign(target.size(), '-');
   }
 
+  const Flow& upstream = context.upstream();
+  const Flow& suspicious = context.downstream();
   record.upstream_packets = upstream.size();
   record.downstream_packets = suspicious.size();
   record.excess_packets = static_cast<std::int64_t>(suspicious.size()) -
                           static_cast<std::int64_t>(upstream.size());
 
-  std::vector<MatchWindow> scanned;
-  std::span<const MatchWindow> windows;
-  if (context != nullptr) {
-    windows = context->windows();
-  } else {
-    CostMeter scratch;  // diagnostic scan: never charged to the run
-    scanned = scan_match_windows(upstream.timestamps(),
-                                 suspicious.timestamps(), config.max_delay,
-                                 scratch);
-    windows = scanned;
-  }
-  for (const MatchWindow& window : windows) {
+  for (const MatchWindow& window : context.windows()) {
     const std::uint64_t width = window.size();
     record.matched_upstream += width > 0;
     record.window_total += width;
@@ -68,9 +53,9 @@ void record_decode_trace(const Flow& upstream, const Watermark& target,
   trace::record_decode(std::move(record));
 }
 
-/// The per-run distributional metrics shared by every correlate entry
-/// point: where a detect's packet accesses actually land, plus the
-/// interruption tallies (heavy tails are invisible in process-wide totals).
+/// The per-run distributional metrics: where a detect's packet accesses
+/// actually land, plus the interruption tallies (heavy tails are invisible
+/// in process-wide totals).
 void record_run_metrics(const CorrelationResult& result) {
   static metrics::Histogram& pair_cost =
       metrics::histogram("correlate.pair_cost");
@@ -158,104 +143,26 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
       context = nullptr;
     }
   }
-  const auto run = [&]() -> CorrelationResult {
-    switch (algorithm_) {
-      case Algorithm::kBruteForce:
-        return run_brute_force(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_, {},
-                               context);
-      case Algorithm::kGreedy: {
-        const DecodePlan plan(watermarked.schedule, watermarked.watermark);
-        return run_greedy(plan, watermarked.flow, suspicious, config_,
-                          context);
-      }
-      case Algorithm::kGreedyPlus:
-        return run_greedy_plus(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_,
-                               context);
-      case Algorithm::kGreedyStar:
-        return run_greedy_star(watermarked.schedule, watermarked.watermark,
-                               watermarked.flow, suspicious, config_,
-                               context);
-    }
-    throw InternalError("unhandled algorithm");
-  };
-  const CorrelationResult result = run();
+  std::optional<MatchContext> local;
+  if (context == nullptr) {
+    // The cold path: the same matching phase a scalar run performs, kept
+    // with its recorded cost, so the reported cost is unchanged.
+    local.emplace(MatchContext::build(watermarked.flow, suspicious,
+                                      config_.max_delay,
+                                      config_.size_constraint));
+    context = &*local;
+  }
+  batch::BatchDecoder decoder(config_);
+  const CorrelationResult result = decoder.decode_one(
+      algorithm_, *context,
+      batch::DecodeHypothesis{&watermarked.schedule, &watermarked.watermark});
 
   // Latency flushes via latency_guard so aborted runs are measured too.
   record_run_metrics(result);
   if (trace::decode_enabled()) {
-    record_decode_trace(watermarked.flow, watermarked.watermark, suspicious,
-                        config_, context, result);
+    record_decode_trace(watermarked.watermark, *context, result);
   }
   return result;
-}
-
-CorrelationResult Correlator::correlate_prepared(
-    const WatermarkedFlow& watermarked, const Flow& suspicious,
-    const MatchContext& context, const batch::SoaPlan* plan) const {
-  static metrics::Counter& hits = metrics::counter("match_context.hits");
-  static metrics::Counter& misses = metrics::counter("match_context.misses");
-  if (!context.matches(watermarked.flow, suspicious, config_.max_delay,
-                       config_.size_constraint)) {
-    // Same tolerance as correlate(): a context for another pair or key is
-    // dropped, not fatal — the caller may hold one context while scanning
-    // many suspects.  (correlate() would double-count the miss.)
-    misses.add();
-    return correlate(watermarked, suspicious, nullptr);
-  }
-  hits.add();
-  TRACE_SPAN("correlate");
-  const LatencyFlusher latency_guard;
-  batch::BatchDecoder decoder(config_);
-  const CorrelationResult result =
-      plan != nullptr
-          ? decoder.decode_one(algorithm_, context, *plan)
-          : decoder.decode_one(
-                algorithm_, context,
-                batch::DecodeHypothesis{&watermarked.schedule,
-                                        &watermarked.watermark});
-  record_run_metrics(result);
-  if (trace::decode_enabled()) {
-    record_decode_trace(watermarked.flow, watermarked.watermark, suspicious,
-                        config_, &context, result);
-  }
-  return result;
-}
-
-std::vector<CorrelationResult> Correlator::correlate_hypotheses(
-    const Flow& upstream, std::span<const batch::DecodeHypothesis> hypotheses,
-    const Flow& suspicious, const MatchContext* context) const {
-  TRACE_SPAN("correlate.batch");
-  const LatencyFlusher latency_guard;  // one sample covers the batch
-  static metrics::Counter& hits = metrics::counter("match_context.hits");
-  static metrics::Counter& misses = metrics::counter("match_context.misses");
-  std::optional<MatchContext> local;
-  if (context != nullptr &&
-      context->matches(upstream, suspicious, config_.max_delay,
-                       config_.size_constraint)) {
-    hits.add();
-  } else {
-    if (context != nullptr) misses.add();
-    local.emplace(MatchContext::build(upstream, suspicious, config_.max_delay,
-                                      config_.size_constraint));
-    context = &*local;
-  }
-
-  batch::BatchDecoder decoder(config_);
-  std::vector<CorrelationResult> results;
-  results.reserve(hypotheses.size());
-  for (const batch::DecodeHypothesis& hypothesis : hypotheses) {
-    const CorrelationResult result =
-        decoder.decode_one(algorithm_, *context, hypothesis);
-    record_run_metrics(result);
-    if (trace::decode_enabled()) {
-      record_decode_trace(upstream, *hypothesis.target, suspicious, config_,
-                          context, result);
-    }
-    results.push_back(result);
-  }
-  return results;
 }
 
 }  // namespace sscor

@@ -11,12 +11,8 @@
 
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/batch_kernel.hpp"
 #include "sscor/matching/match_context.hpp"
 #include "sscor/watermark/embedder.hpp"
 
@@ -30,41 +26,18 @@ class Correlator {
   /// flow, by decoding the best watermark achievable over matching-packet
   /// subsequences and comparing it to the embedded one.
   ///
-  /// `context`, when non-null, is a precomputed MatchContext for the
-  /// (watermarked.flow, suspicious, config) triple; the matching phase is
-  /// then replayed from the cache with its recorded cost instead of being
-  /// recomputed.  A context built for a different pair or key is silently
-  /// ignored (counted under `match_context.misses`), so callers can pass
-  /// whatever context they have on hand.
+  /// Every decode runs on the batched engine (batch::BatchDecoder) over a
+  /// MatchContext for the (watermarked.flow, suspicious, config) triple.
+  /// `context`, when non-null and built for that triple, is used as is;
+  /// the matching phase is then replayed from it with its recorded cost.
+  /// Otherwise a local context is built first.  A context built for a
+  /// different pair or key is silently ignored (counted under
+  /// `match_context.misses`), so callers can pass whatever context they
+  /// have on hand.  The result is byte-identical to the scalar run_*
+  /// reference in every field, cost included.
   CorrelationResult correlate(const WatermarkedFlow& watermarked,
                               const Flow& suspicious,
                               const MatchContext* context = nullptr) const;
-
-  /// correlate() over a *required* prebuilt context, decoded on the batched
-  /// SoA engine (batch::BatchDecoder) instead of the scalar runners — same
-  /// result in every field (a tested property), but the per-hypothesis plan
-  /// and selection scratch come from the calling thread's reusable
-  /// workspace.  `plan`, when non-null, is the hypothesis's prebuilt
-  /// SoaPlan (the streaming engine builds it once per upstream); it must
-  /// describe (watermarked.schedule, watermarked.watermark).  A context
-  /// built for a different pair or key falls back to the cold scalar path,
-  /// exactly like correlate() with a stale context.
-  CorrelationResult correlate_prepared(
-      const WatermarkedFlow& watermarked, const Flow& suspicious,
-      const MatchContext& context,
-      const batch::SoaPlan* plan = nullptr) const;
-
-  /// Decodes many (schedule, watermark) hypotheses against one suspicious
-  /// flow with the matching phase shared across the whole batch: the
-  /// context is built once (or replayed from `context` when it matches) and
-  /// every hypothesis decodes on the batched engine from the same candidate
-  /// sets.  results[i] is field-identical to correlate() with hypothesis
-  /// i's WatermarkedFlow.  Per-run metrics (pair cost, interruptions,
-  /// decode traces) are recorded per hypothesis; the latency sample covers
-  /// the batch.
-  std::vector<CorrelationResult> correlate_hypotheses(
-      const Flow& upstream, std::span<const batch::DecodeHypothesis> hypotheses,
-      const Flow& suspicious, const MatchContext* context = nullptr) const;
 
   const CorrelatorConfig& config() const { return config_; }
   Algorithm algorithm() const { return algorithm_; }

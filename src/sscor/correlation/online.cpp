@@ -20,7 +20,6 @@ OnlineUpstream::OnlineUpstream(WatermarkedFlow watermarked)
   for (std::uint32_t s = 0; s < plan_.slots().size(); ++s) {
     slot_of_[plan_.slots()[s].up_index] = s;
   }
-  soa_plan_.build(watermarked_.schedule, watermarked_.watermark);
 }
 
 OnlineCorrelator::OnlineCorrelator(WatermarkedFlow watermarked,
@@ -191,15 +190,7 @@ CorrelationResult OnlineCorrelator::result() {
 
   const Flow downstream = downstream_->to_flow();
   const Correlator offline(config_, algorithm_);
-  // Batched path with the upstream's prebuilt SoA plan; field-identical to
-  // offline.correlate(...) by the batch parity suite, but the per-verdict
-  // plan build and selection allocations are gone — with thousands of
-  // concurrent pairs per shard, verdicts dominate the stream's tail cost.
-  const MatchContext context =
-      MatchContext::build(upstream_->watermarked().flow, downstream,
-                          config_.max_delay, config_.size_constraint);
-  cached_result_ = offline.correlate_prepared(
-      upstream_->watermarked(), downstream, context, &upstream_->soa_plan());
+  cached_result_ = offline.correlate(upstream_->watermarked(), downstream);
   return *cached_result_;
 }
 

@@ -45,7 +45,6 @@
 #include "sscor/correlation/correlator.hpp"
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/batch_kernel.hpp"
 #include "sscor/matching/match_windows.hpp"
 #include "sscor/watermark/embedder.hpp"
 
@@ -68,18 +67,12 @@ class OnlineUpstream {
   /// Slot id of upstream packet i, or kNoSlot when it carries no bit.
   std::span<const std::uint32_t> slot_of() const { return slot_of_; }
 
-  /// The SoA plan for the batched decode engine, built once per upstream
-  /// and reused by every pair's final verdict (result() feeds it to
-  /// Correlator::correlate_prepared).
-  const batch::SoaPlan& soa_plan() const { return soa_plan_; }
-
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
  private:
   WatermarkedFlow watermarked_;
   DecodePlan plan_;
   std::vector<std::uint32_t> slot_of_;
-  batch::SoaPlan soa_plan_;
 };
 
 struct OnlineOptions {

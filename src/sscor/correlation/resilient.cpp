@@ -1,6 +1,7 @@
 #include "sscor/correlation/resilient.hpp"
 
 #include <array>
+#include <optional>
 
 #include "sscor/util/error.hpp"
 #include "sscor/util/metrics.hpp"
@@ -63,6 +64,15 @@ CorrelationResult ResilientCorrelator::correlate(
   const Deadline deadline = options_.deadline_us > 0
                                 ? Deadline::after(options_.deadline_us)
                                 : Deadline{};
+  // The tiers differ only in budget, so they share one context key: build
+  // the pair's matching phase once and let every tier decode from it.
+  std::optional<MatchContext> local;
+  if (context == nullptr) {
+    local.emplace(MatchContext::build(watermarked.flow, suspicious,
+                                      config_.max_delay,
+                                      config_.size_constraint));
+    context = &*local;
+  }
 
   std::size_t depth = 0;
   for (std::size_t t = 0; t < ladder_.size(); ++t) {

@@ -59,6 +59,8 @@ class ResilientCorrelator {
   /// (or the final tier's, which always completes).  `degraded` is set when
   /// any tier below `preferred` produced it.  An explicit token cancel
   /// returns the best-so-far of the tier that was running, interrupted.
+  /// Without a `context`, the pair's MatchContext is built once here and
+  /// every tier decodes from it.
   CorrelationResult correlate(const WatermarkedFlow& watermarked,
                               const Flow& suspicious,
                               const MatchContext* context = nullptr) const;

@@ -30,7 +30,7 @@ BenchOptions parse_bench_options(int argc, char** argv,
                                  ExperimentConfig defaults = {});
 
 /// Writes the current metrics snapshot as JSON to `path` (throws IoError on
-/// failure) — how BENCH_sweeps.json and --metrics-json files are produced.
+/// failure) — how --metrics-json files are produced.
 void write_metrics_json(const std::string& path);
 
 /// Runs one figure sweep end to end: prints the header, runs with progress

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -111,10 +112,33 @@ std::uint64_t parse_u64_token(const std::string& token,
   return value;
 }
 
+/// The violation message for the exception being handled, naming it.  Call
+/// only from a catch handler.
+std::string escaped_exception_message() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return std::string("check threw an exception: ") + e.what();
+  } catch (...) {
+    return "check threw a non-standard exception";
+  }
+}
+
+/// Thrown out of the shrink predicate to stop shrinking at the first
+/// candidate whose check threw; that candidate becomes the artifact.
+struct ShrinkCandidateThrew {
+  std::vector<std::uint8_t> payload;
+  std::string message;
+};
+
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzOptions& options) {
-  auto oracles = make_default_oracles();
+  return run_fuzz(options, make_default_oracles());
+}
+
+FuzzReport run_fuzz(const FuzzOptions& options,
+                    std::vector<std::unique_ptr<Oracle>> oracles) {
   if (!options.only.empty()) {
     std::vector<std::unique_ptr<Oracle>> kept;
     for (auto& oracle : oracles) {
@@ -135,7 +159,16 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     Oracle& oracle = *oracles[i % oracles.size()];
     Rng rng(case_seed(options.seed, i, oracle.name()));
     const std::vector<std::uint8_t> payload = oracle.generate(rng);
-    OracleResult result = oracle.check(payload);
+    // An exception escaping the check is a violation, not an abort.
+    OracleResult result;
+    bool threw = false;
+    try {
+      result = oracle.check(payload);
+    } catch (...) {
+      threw = true;
+      result.ok = false;
+      result.message = escaped_exception_message();
+    }
     ++report.executed;
     if (result.skipped) {
       ++report.skipped;
@@ -148,24 +181,40 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     failure.iteration = i;
     failure.message = result.message;
     failure.payload = payload;
-    if (options.shrink) {
+    // A payload whose check threw is reported as it is: shrinking would
+    // only run the throwing path again.
+    if (options.shrink && !threw) {
       ShrinkStats stats;
-      failure.payload = shrink_payload(
-          failure.payload,
-          [&oracle](const std::vector<std::uint8_t>& candidate) {
-            const OracleResult r = oracle.check(candidate);
-            return !r.skipped && !r.ok;
-          },
-          options.max_shrink_attempts, &stats);
-      // The shrunk payload's message is the one worth reporting.
-      const OracleResult shrunk = oracle.check(failure.payload);
-      if (!shrunk.ok && !shrunk.message.empty()) {
-        failure.message = shrunk.message;
-      }
-      if (options.log != nullptr) {
-        *options.log << "shrink: " << stats.initial_bytes << " -> "
-                     << stats.final_bytes << " bytes in " << stats.attempts
-                     << " attempts\n";
+      try {
+        failure.payload = shrink_payload(
+            failure.payload,
+            [&oracle](const std::vector<std::uint8_t>& candidate) {
+              try {
+                const OracleResult r = oracle.check(candidate);
+                return !r.skipped && !r.ok;
+              } catch (...) {
+                throw ShrinkCandidateThrew{candidate,
+                                           escaped_exception_message()};
+              }
+            },
+            options.max_shrink_attempts, &stats);
+        // The shrunk payload's message is the one worth reporting.
+        const OracleResult shrunk = oracle.check(failure.payload);
+        if (!shrunk.ok && !shrunk.message.empty()) {
+          failure.message = shrunk.message;
+        }
+        if (options.log != nullptr) {
+          *options.log << "shrink: " << stats.initial_bytes << " -> "
+                       << stats.final_bytes << " bytes in " << stats.attempts
+                       << " attempts\n";
+        }
+      } catch (const ShrinkCandidateThrew& thrown) {
+        failure.payload = thrown.payload;
+        failure.message = thrown.message;
+        if (options.log != nullptr) {
+          *options.log << "shrink: stopped at a " << thrown.payload.size()
+                       << "-byte candidate whose check threw\n";
+        }
       }
     }
     if (!options.artifact_dir.empty()) {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,15 @@ struct FuzzReport {
   bool ok() const { return failures.empty(); }
 };
 
+/// Runs the default oracles (make_default_oracles()).  An exception that
+/// escapes an oracle's check — on the generated case or on a shrink
+/// candidate — is reported as a violation naming it, with the payload
+/// that threw as its artifact; it never aborts the run.
 FuzzReport run_fuzz(const FuzzOptions& options);
+
+/// Same, over the given oracles.
+FuzzReport run_fuzz(const FuzzOptions& options,
+                    std::vector<std::unique_ptr<Oracle>> oracles);
 
 /// Serializes one replay artifact (see format above).
 std::string format_replay_artifact(const std::string& oracle,

@@ -26,9 +26,10 @@
 //   cache_parity     every algorithm returns byte-identical results with a
 //                    cached MatchContext and with a cold matching run.
 //   batch_parity     the batched SoA decode engine equals the scalar
-//                    runners over a shared context — every algorithm, the
-//                    robust variant, and multi-hypothesis batches through
-//                    one reused workspace.
+//                    reference runners for every algorithm: over a shared
+//                    context through one reused workspace, and cold
+//                    (Correlator::correlate against a context-free scalar
+//                    run).
 //   resilient_parity whatever tier the fallback ladder lands on equals that
 //                    algorithm run directly under the same budget; with
 //                    resilience disabled the ladder collapses to the plain

@@ -101,8 +101,7 @@ DecodeWorkspace& thread_workspace() {
 namespace {
 
 /// "No downstream packet chosen" sentinel, shared by the Greedy port
-/// (scalar: nullopt), the robust port (scalar: kMissing), and the brute
-/// force slot table (scalar: uint32 max).
+/// (scalar: nullopt) and the brute force slot table (scalar: uint32 max).
 constexpr std::uint32_t kNoChoice = 0xffffffffu;
 
 // ------------------------------------------------- Greedy+/Greedy* engine
@@ -627,23 +626,23 @@ CorrelationResult run_greedy_star_batch(const CorrelatorConfig& config,
 
 // ------------------------------------------------------------ Brute force
 
+/// Port of run_brute_force with its default options: the enumeration runs
+/// over the pruned sets and certifies the exact optimum (no stop at the
+/// Hamming threshold).
 struct BruteForceRun {
   const SoaPlan& plan;
   DecodeWorkspace& ws;
   std::span<const TimeUs> down_ts;
   CostMeter& cost;
   CancelProbe& probe;
-  std::uint32_t threshold;
-  bool stop_at_threshold;
   std::size_t n_up = 0;
   std::uint32_t best_hamming = std::numeric_limits<std::uint32_t>::max();
   Watermark best_watermark{};
   bool bound_hit = false;
-  bool done = false;
   bool interrupted = false;
 
   void dfs(std::size_t i, std::int64_t prev) {
-    if (bound_hit || done || interrupted) return;
+    if (bound_hit || interrupted) return;
     if (i == n_up) {
       evaluate_leaf();
       return;
@@ -665,7 +664,7 @@ struct BruteForceRun {
       if (static_cast<std::int64_t>(candidate) <= prev) continue;
       if (slot != kNoChoice) ws.slot_down_index[slot] = candidate;
       dfs(i + 1, candidate);
-      if (bound_hit || done || interrupted) return;
+      if (bound_hit || interrupted) return;
     }
   }
 
@@ -690,9 +689,6 @@ struct BruteForceRun {
     if (hamming < best_hamming) {
       best_hamming = hamming;
       best_watermark = Watermark(ws.leaf_bits);
-      if (stop_at_threshold && best_hamming <= threshold) {
-        done = true;
-      }
     }
   }
 };
@@ -700,8 +696,7 @@ struct BruteForceRun {
 CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
                                         const MatchContext& ctx,
                                         const SoaPlan& plan,
-                                        DecodeWorkspace& ws,
-                                        const BruteForceOptions& options) {
+                                        DecodeWorkspace& ws) {
   CostMeter cost(config.cost_bound);
   CancelProbe probe(config.budget);
   CorrelationResult result;
@@ -715,23 +710,18 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
     return result;
   };
 
-  const CandidateSets* sets = nullptr;
   TRACE_SPAN("correlate.brute_force");
   cost.count(ctx.build_cost());
   if (!ctx.complete()) return rejected();
-  if (options.prune) {
-    cost.count(ctx.prune_cost());
-    if (!ctx.prune_ok()) return rejected();
-    sets = &ctx.pruned_sets();
-  } else {
-    sets = &ctx.built_sets();
-  }
+  cost.count(ctx.prune_cost());
+  if (!ctx.prune_ok()) return rejected();
+  const CandidateSets& sets = ctx.pruned_sets();
 
-  const std::size_t n_up = sets->upstream_size();
+  const std::size_t n_up = sets.upstream_size();
   ws.up_cand_ptr.resize(n_up);
   ws.up_cand_len.resize(n_up);
   for (std::size_t i = 0; i < n_up; ++i) {
-    const auto set = sets->set(i);
+    const auto set = sets.set(i);
     ws.up_cand_ptr[i] = set.data();
     ws.up_cand_len[i] = static_cast<std::uint32_t>(set.size());
   }
@@ -744,13 +734,7 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
   ws.slot_down_index.assign(plan.slot_count(), 0);
   ws.leaf_bits.resize(plan.bit_count());
 
-  BruteForceRun search{plan,
-                       ws,
-                       ctx.downstream_ts(),
-                       cost,
-                       probe,
-                       config.hamming_threshold,
-                       options.stop_at_threshold};
+  BruteForceRun search{plan, ws, ctx.downstream_ts(), cost, probe};
   search.n_up = n_up;
   {
     TRACE_SPAN("correlate.bf_enum");
@@ -762,8 +746,8 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
   result.stop_reason = probe.reason();
   result.cost = cost.accesses();
   if (search.best_hamming == std::numeric_limits<std::uint32_t>::max()) {
-    // No complete order-consistent assignment exists (possible without
-    // pruning); equivalent to incomplete matching.
+    // The cost bound or the budget stopped the enumeration before its
+    // first complete assignment; reported like incomplete matching.
     result.correlated = false;
     result.matching_complete = false;
     result.hamming = plan.bit_count();
@@ -872,160 +856,6 @@ CorrelationResult run_greedy_batch(const CorrelatorConfig& config,
   return result;
 }
 
-// ----------------------------------------------------------------- Robust
-
-CorrelationResult run_robust_batch(const CorrelatorConfig& config,
-                                   const MatchContext& ctx,
-                                   const SoaPlan& plan, DecodeWorkspace& ws,
-                                   const RobustOptions& options) {
-  TRACE_SPAN("correlate.robust");
-  CostMeter cost;
-  CancelProbe probe(config.budget);
-  CorrelationResult result;
-  result.algorithm = Algorithm::kGreedyPlus;
-  const std::span<const TimeUs> down_ts = ctx.downstream_ts();
-  const std::uint32_t n = plan.slot_count();
-  const std::uint32_t bits = plan.bit_count();
-  const std::uint32_t ppb = plan.pairs_per_bit();
-  const std::uint32_t* first = plan.pair_first_slot().data();
-  const std::uint32_t* second = plan.pair_second_slot().data();
-  const std::int8_t* sign = plan.pair_sign().data();
-  const auto target = plan.target_bits();
-
-  // Port of decode_bit_robust: skip pairs with a missing endpoint; a bit
-  // with no surviving pair decodes as a mismatch (conservative).
-  auto decode_bit_robust = [&](std::uint32_t bit) -> std::uint8_t {
-    DurationUs sum = 0;
-    bool any = false;
-    for (std::uint32_t pair = 0; pair < ppb; ++pair) {
-      const std::size_t p = static_cast<std::size_t>(bit) * ppb + pair;
-      if (ws.choice[first[p]] == kNoChoice ||
-          ws.choice[second[p]] == kNoChoice) {
-        continue;
-      }
-      cost.count(2);
-      const DurationUs ipd =
-          down_ts[ws.choice[second[p]]] - down_ts[ws.choice[first[p]]];
-      sum += static_cast<DurationUs>(sign[p]) * ipd;
-      any = true;
-    }
-    if (!any) return static_cast<std::uint8_t>(1 - target[bit]);
-    return decode_bit(sum);
-  };
-
-  // Best-so-far exit shared by the probe checks below; `have_bits` says
-  // whether ws.bits8 currently holds a clean greedy decode.
-  auto interrupted_at = [&](bool have_bits) {
-    if (have_bits && bits != 0) {
-      std::uint32_t h = 0;
-      for (std::uint32_t b = 0; b < bits; ++b) h += ws.bits8[b] != target[b];
-      result.hamming = h;
-      result.best_watermark = Watermark(ws.bits8);
-      result.correlated = result.hamming <= config.hamming_threshold;
-    } else {
-      result.correlated = false;
-      result.hamming = bits;
-    }
-    result.cost = cost.accesses();
-    result.interrupted = true;
-    result.stop_reason = probe.reason();
-    return result;
-  };
-
-  {
-    TRACE_SPAN("correlate.match");
-    // The gap-prune budget depends on `options`, so only the built sets
-    // come from the cache; pruning runs live on this reused copy.
-    cost.count(ctx.build_cost());
-    ws.robust_sets = ctx.built_sets();
-  }
-  const auto budget = static_cast<std::size_t>(
-      options.max_unmatched_fraction *
-      static_cast<double>(ctx.upstream().size()));
-  result.matching_complete = ws.robust_sets.empty_count() == 0;
-
-  if (!ws.robust_sets.prune_allowing_gaps(cost, budget)) {
-    result.correlated = false;
-    result.matching_complete = false;
-    result.hamming = bits;
-    result.cost = cost.accesses();
-    return result;
-  }
-  if (probe.should_stop(cost.accesses())) return interrupted_at(false);
-
-  const auto slot_up = plan.slot_up();
-  const auto prefer = plan.slot_prefer();
-  ws.choice.assign(n, kNoChoice);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (probe.should_stop(cost.accesses())) break;
-    const auto set = ws.robust_sets.set(slot_up[s]);
-    if (set.empty()) continue;
-    ws.choice[s] = prefer[s] ? set.front() : set.back();
-    cost.count();
-  }
-  ws.bits8.resize(bits);
-  std::uint32_t greedy_hamming = 0;
-  for (std::uint32_t bit = 0; bit < bits; ++bit) {
-    ws.bits8[bit] = decode_bit_robust(bit);
-    greedy_hamming += ws.bits8[bit] != target[bit];
-  }
-  if (probe.stopped()) return interrupted_at(true);
-  if (greedy_hamming > config.hamming_threshold) {
-    result.correlated = false;
-    result.hamming = greedy_hamming;
-    result.best_watermark = Watermark(ws.bits8);
-    result.cost = cost.accesses();
-    return result;
-  }
-
-  // Order repair over the surviving slots (backward pass; keep
-  // first-matches, re-point last-matches below the successor's choice).
-  std::int64_t bound = std::numeric_limits<std::int64_t>::max();
-  for (std::uint32_t s = n; s-- > 0;) {
-    if (probe.should_stop(cost.accesses())) {
-      // Fall back to the (always consistent) greedy decode rather than a
-      // half-repaired mixture.
-      return interrupted_at(true);
-    }
-    if (ws.choice[s] == kNoChoice) continue;
-    if (static_cast<std::int64_t>(ws.choice[s]) < bound) {
-      bound = ws.choice[s];
-      continue;
-    }
-    const auto set = ws.robust_sets.set(slot_up[s]);
-    std::uint32_t lo = 0;
-    auto hi = static_cast<std::uint32_t>(set.size());
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      cost.count();
-      if (static_cast<std::int64_t>(set[mid]) < bound) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo == 0) {
-      // No candidate fits below the successor (can happen next to gaps):
-      // treat this packet as lost as well.
-      ws.choice[s] = kNoChoice;
-      continue;
-    }
-    ws.choice[s] = set[lo - 1];
-    bound = ws.choice[s];
-  }
-
-  for (std::uint32_t bit = 0; bit < bits; ++bit) {
-    ws.bits8[bit] = decode_bit_robust(bit);
-  }
-  std::uint32_t hamming = 0;
-  for (std::uint32_t b = 0; b < bits; ++b) hamming += ws.bits8[b] != target[b];
-  result.hamming = hamming;
-  result.best_watermark = Watermark(ws.bits8);
-  result.correlated = result.hamming <= config.hamming_threshold;
-  result.cost = cost.accesses();
-  return result;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------- BatchDecoder
@@ -1038,74 +868,26 @@ BatchDecoder::BatchDecoder(const CorrelatorConfig& config,
   require(config.cost_bound > 0, "cost bound must be positive");
 }
 
-CorrelationResult BatchDecoder::run(Algorithm algorithm,
-                                    const MatchContext& context,
-                                    const SoaPlan& plan) {
-  require(context.key() ==
-              MatchContextKey{config_.max_delay, config_.size_constraint},
-          "MatchContext was built for a different pair or key");
-  switch (algorithm) {
-    case Algorithm::kBruteForce:
-      return run_brute_force_batch(config_, context, plan, *ws_,
-                                   BruteForceOptions{});
-    case Algorithm::kGreedy:
-      return run_greedy_batch(config_, context, plan, *ws_);
-    case Algorithm::kGreedyPlus:
-      return run_greedy_plus_batch(config_, context, plan, *ws_);
-    case Algorithm::kGreedyStar:
-      return run_greedy_star_batch(config_, context, plan, *ws_);
-  }
-  throw InternalError("unhandled algorithm");
-}
-
 CorrelationResult BatchDecoder::decode_one(Algorithm algorithm,
                                            const MatchContext& context,
                                            const DecodeHypothesis& hypothesis) {
   require(hypothesis.schedule != nullptr && hypothesis.target != nullptr,
           "decode hypothesis must reference a schedule and a target");
   ws_->plan.build(*hypothesis.schedule, *hypothesis.target);
-  return run(algorithm, context, ws_->plan);
-}
-
-CorrelationResult BatchDecoder::decode_one(Algorithm algorithm,
-                                           const MatchContext& context,
-                                           const SoaPlan& plan) {
-  return run(algorithm, context, plan);
-}
-
-std::vector<CorrelationResult> BatchDecoder::decode(
-    Algorithm algorithm, const MatchContext& context,
-    std::span<const DecodeHypothesis> hypotheses) {
-  std::vector<CorrelationResult> results;
-  results.reserve(hypotheses.size());
-  for (const DecodeHypothesis& hypothesis : hypotheses) {
-    results.push_back(decode_one(algorithm, context, hypothesis));
+  require(context.key() ==
+              MatchContextKey{config_.max_delay, config_.size_constraint},
+          "MatchContext was built for a different pair or key");
+  switch (algorithm) {
+    case Algorithm::kBruteForce:
+      return run_brute_force_batch(config_, context, ws_->plan, *ws_);
+    case Algorithm::kGreedy:
+      return run_greedy_batch(config_, context, ws_->plan, *ws_);
+    case Algorithm::kGreedyPlus:
+      return run_greedy_plus_batch(config_, context, ws_->plan, *ws_);
+    case Algorithm::kGreedyStar:
+      return run_greedy_star_batch(config_, context, ws_->plan, *ws_);
   }
-  return results;
-}
-
-CorrelationResult BatchDecoder::brute_force(const MatchContext& context,
-                                            const DecodeHypothesis& hypothesis,
-                                            const BruteForceOptions& options) {
-  require(hypothesis.schedule != nullptr && hypothesis.target != nullptr,
-          "decode hypothesis must reference a schedule and a target");
-  require(context.key() ==
-              MatchContextKey{config_.max_delay, config_.size_constraint},
-          "MatchContext was built for a different pair or key");
-  ws_->plan.build(*hypothesis.schedule, *hypothesis.target);
-  return run_brute_force_batch(config_, context, ws_->plan, *ws_, options);
-}
-
-CorrelationResult BatchDecoder::robust(const MatchContext& context,
-                                       const DecodeHypothesis& hypothesis,
-                                       const RobustOptions& options) {
-  require(hypothesis.schedule != nullptr && hypothesis.target != nullptr,
-          "decode hypothesis must reference a schedule and a target");
-  require(context.key() ==
-              MatchContextKey{config_.max_delay, config_.size_constraint},
-          "MatchContext was built for a different pair or key");
-  ws_->plan.build(*hypothesis.schedule, *hypothesis.target);
-  return run_robust_batch(config_, context, ws_->plan, *ws_, options);
+  throw InternalError("unhandled algorithm");
 }
 
 }  // namespace sscor::batch

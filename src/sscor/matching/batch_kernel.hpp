@@ -1,14 +1,12 @@
-// The batched SoA decode kernel: one shared matching pass serves many
-// (pair × key-hypothesis) decodes.
+// The SoA decode engine behind Correlator::correlate: every production
+// decode of the paper's four algorithms runs here, over a MatchContext.
 //
 // The scalar correlators (run_greedy_plus & friends) interleave plan
 // bookkeeping, candidate-set lookups through bounds-checked accessors, and
 // around thirty-five allocations per decode (DecodePlan's pending vector and
-// sort, the per-bit slot vectors, SelectionState's position arrays).  When a
-// detector tests H key hypotheses against one suspicious flow, all of that
-// repeats H times even though the matching phase is already shared through
-// MatchContext.  This layer restructures the per-hypothesis work onto
-// contiguous structure-of-arrays storage:
+// sort, the per-bit slot vectors, SelectionState's position arrays).  This
+// layer restructures the per-decode work onto contiguous
+// structure-of-arrays storage:
 //
 //   SoaPlan         the DecodePlan flattened to parallel arrays (slot →
 //                   upstream index / bit / greedy preference; pair → slot
@@ -19,21 +17,22 @@
 //                   plan, flat candidate pointer/length tables, selection
 //                   state, and all per-algorithm scratch — after warm-up a
 //                   decode allocates only its result watermark.
-//   BatchDecoder    exact ports of all five correlators (Greedy, Greedy+,
-//                   Greedy*, BruteForce, the loss-robust variant) over the
-//                   flat arrays, with the inner sweeps (timestamp gathers,
-//                   signed pair differences, per-bit reductions) routed
-//                   through the batch_kernels.hpp scalar/vectorized pairs.
+//   BatchDecoder    exact ports of the four correlators (Greedy, Greedy+,
+//                   Greedy*, BruteForce) over the flat arrays, with the
+//                   inner sweeps (timestamp gathers, signed pair
+//                   differences, per-bit reductions) routed through the
+//                   batch_kernels.hpp scalar/vectorized pairs.
 //
-// The cost-replay invariant extends to this engine: every CorrelationResult
-// field — cost included — is byte-identical to the scalar algorithm run
-// with the same MatchContext (and therefore, by the existing context parity
-// suite, to a cold scalar run).  The ports replicate the reference
-// algorithms' access counting at every observable point: bulk counts are
-// only substituted between probe/exhaustion polls, and early-out paths
-// (try_advance's reject-before-later-bits, the DFS bound checks) keep the
-// reference evaluation order.  tests/batch_kernel_test.cpp and the
-// batch_parity fuzz oracle pin this for all five algorithms.
+// The scalar run_* functions stay as the reference implementation.  The
+// cost-replay invariant ties the two: every CorrelationResult field — cost
+// included — is byte-identical to the scalar algorithm run with the same
+// MatchContext (and therefore, by the match-context parity suite, to a
+// cold scalar run).  The ports replicate the reference algorithms' access
+// counting at every observable point: bulk counts are only substituted
+// between probe/exhaustion polls, and early-out paths (try_advance's
+// reject-before-later-bits, the DFS bound checks) keep the reference
+// evaluation order.  tests/batch_kernel_test.cpp and the batch_parity fuzz
+// oracle pin this for all four algorithms.
 
 #pragma once
 
@@ -41,9 +40,7 @@
 #include <span>
 #include <vector>
 
-#include "sscor/correlation/brute_force.hpp"
 #include "sscor/correlation/result.hpp"
-#include "sscor/correlation/robust.hpp"
 #include "sscor/matching/batch_kernels.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/matching/match_context.hpp"
@@ -160,18 +157,15 @@ struct DecodeWorkspace {
   std::vector<std::uint32_t> slot_of;
   std::vector<std::uint32_t> slot_down_index;
   std::vector<std::uint8_t> leaf_bits;
-  // Greedy / robust.
+  // Greedy.
   std::vector<std::uint32_t> choice;
   std::vector<std::uint8_t> bits8;
-  /// Robust prunes a live copy of the context's built sets; copy-assigning
-  /// into this member reuses the ranges vector's capacity.
-  CandidateSets robust_sets;
 };
 
 /// The calling thread's decode workspace (constructed on first use).
 DecodeWorkspace& thread_workspace();
 
-/// Batched decoder: exact SoA ports of the five correlators over a shared
+/// Batched decoder: exact SoA ports of the four correlators over a shared
 /// MatchContext.  A decoder is cheap to construct; it binds the calling
 /// thread's workspace unless one is supplied.  Not thread-safe (the
 /// workspace is mutable state); construct one per thread.
@@ -183,40 +177,14 @@ class BatchDecoder {
   /// Decodes one hypothesis with the given algorithm.  `context` must have
   /// been built for the pair being decoded (its flows and key are the
   /// single source of truth — there is no separate flow argument to
-  /// mismatch).  Byte-identical to the scalar run_* with the same context.
+  /// mismatch).  Byte-identical to the scalar run_* with the same context
+  /// (Brute Force with its default options).  Many hypotheses against one
+  /// pair share one context: call this once per hypothesis.
   CorrelationResult decode_one(Algorithm algorithm,
                                const MatchContext& context,
                                const DecodeHypothesis& hypothesis);
 
-  /// Same, over a caller-prebuilt plan (the streaming engine builds each
-  /// upstream's SoaPlan once and reuses it across every suspicious flow).
-  CorrelationResult decode_one(Algorithm algorithm,
-                               const MatchContext& context,
-                               const SoaPlan& plan);
-
-  /// Decodes a batch of hypotheses against one shared context; equivalent
-  /// to calling decode_one per hypothesis (a tested property), with the
-  /// plan rebuilt in place and all scratch reused across the batch.
-  std::vector<CorrelationResult> decode(
-      Algorithm algorithm, const MatchContext& context,
-      std::span<const DecodeHypothesis> hypotheses);
-
-  /// Exact port of run_brute_force with explicit options.
-  CorrelationResult brute_force(const MatchContext& context,
-                                const DecodeHypothesis& hypothesis,
-                                const BruteForceOptions& options);
-
-  /// Exact port of the loss-robust correlator (run_greedy_plus_robust's
-  /// algorithmic core; the scalar entry point's decode-trace row is the
-  /// caller's concern).
-  CorrelationResult robust(const MatchContext& context,
-                           const DecodeHypothesis& hypothesis,
-                           const RobustOptions& options);
-
  private:
-  CorrelationResult run(Algorithm algorithm, const MatchContext& context,
-                        const SoaPlan& plan);
-
   CorrelatorConfig config_;
   DecodeWorkspace* ws_;
 };

@@ -13,9 +13,6 @@
 // tests and benches compare the two inside one binary.  Because results are
 // identical either way, the choice is invisible to the cost-replay parity
 // suite.
-//
-// The kernels are header-only so the watermark layer (QIM batch decoding)
-// can use them without a link dependency on sscor_matching.
 
 #pragma once
 
@@ -182,37 +179,6 @@ inline void quantize_sizes(const std::uint32_t* sizes, std::uint32_t block,
     quantize_sizes_vectorized(sizes, block, out, n);
   } else {
     quantize_sizes_scalar(sizes, block, out, n);
-  }
-}
-
-// --- QIM cell parities ---------------------------------------------------
-// out[i] = parity of round(max(ipd[i], 0) / step) — one flat sweep over
-// every (schedule, pair) IPD of a hypothesis batch.
-
-inline void qim_parities_scalar(const DurationUs* ipds, DurationUs step,
-                                std::uint8_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const DurationUs ipd = ipds[i] < 0 ? 0 : ipds[i];
-    out[i] = static_cast<std::uint8_t>(((ipd + step / 2) / step) & 1);
-  }
-}
-
-inline void qim_parities_vectorized(const DurationUs* __restrict ipds,
-                                    DurationUs step,
-                                    std::uint8_t* __restrict out,
-                                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const DurationUs ipd = ipds[i] < 0 ? 0 : ipds[i];
-    out[i] = static_cast<std::uint8_t>(((ipd + step / 2) / step) & 1);
-  }
-}
-
-inline void qim_parities(const DurationUs* ipds, DurationUs step,
-                         std::uint8_t* out, std::size_t n) {
-  if (kernel_mode() == KernelMode::kVectorized) {
-    qim_parities_vectorized(ipds, step, out, n);
-  } else {
-    qim_parities_scalar(ipds, step, out, n);
   }
 }
 

@@ -64,7 +64,7 @@ MatchContext MatchContext::build(const Flow& upstream, const Flow& downstream,
   // packets, plus the pruning yield — sampled at every kStride-th packet,
   // accumulated locally, and flushed as one bucket-wise merge so the loop
   // costs no atomics.  Builds run per flow pair on the detection hot path
-  // (bench/decode_cache guards the budget), so the whole observability
+  // (every correlate builds or replays one), so the whole observability
   // pass is a few hundred iterations, not O(packets): a deterministic
   // stride keeps the distribution shape, and the pruning yield compares
   // built vs pruned sizes over the same sample, which also keeps every

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "sscor/matching/batch_kernels.hpp"
 #include "sscor/util/error.hpp"
 
 namespace sscor {
@@ -102,61 +101,6 @@ std::optional<Watermark> decode_qim_positional(const KeySchedule& schedule,
     bits.push_back(static_cast<std::uint8_t>(2 * ones > total ? 1 : 0));
   }
   return Watermark(std::move(bits));
-}
-
-std::vector<std::optional<Watermark>> decode_qim_positional_batch(
-    std::span<const KeySchedule* const> schedules, DurationUs step,
-    const Flow& suspicious) {
-  require(step > 0, "quantization step must be positive");
-  const std::vector<TimeUs>& ts = suspicious.timestamps();
-
-  // Gather every applicable schedule's pair IPDs into one flat, bit-major
-  // array (a too-short flow contributes nothing and decodes to nullopt,
-  // matching the scalar entry point).
-  std::vector<DurationUs> ipds;
-  std::vector<std::size_t> offset(schedules.size() + 1, 0);
-  for (std::size_t h = 0; h < schedules.size(); ++h) {
-    require(schedules[h] != nullptr, "schedule hypothesis must be non-null");
-    const KeySchedule& schedule = *schedules[h];
-    if (suspicious.size() > schedule.max_packet_index()) {
-      for (const auto& plan : schedule.bit_plans()) {
-        for (const auto* group : {&plan.group1, &plan.group2}) {
-          for (const auto& pair : *group) {
-            ipds.push_back(ts[pair.second] - ts[pair.first]);
-          }
-        }
-      }
-    }
-    offset[h + 1] = ipds.size();
-  }
-
-  // One parity sweep over the whole hypothesis batch.
-  std::vector<std::uint8_t> parities(ipds.size());
-  batch::kernels::qim_parities(ipds.data(), step, parities.data(),
-                               ipds.size());
-
-  std::vector<std::optional<Watermark>> results;
-  results.reserve(schedules.size());
-  for (std::size_t h = 0; h < schedules.size(); ++h) {
-    if (offset[h + 1] == offset[h]) {
-      results.emplace_back(std::nullopt);
-      continue;
-    }
-    const KeySchedule& schedule = *schedules[h];
-    std::vector<std::uint8_t> bits;
-    bits.reserve(schedule.params().bits);
-    std::size_t cursor = offset[h];
-    for (const auto& plan : schedule.bit_plans()) {
-      const std::size_t pairs = plan.group1.size() + plan.group2.size();
-      int ones = 0;
-      for (std::size_t p = 0; p < pairs; ++p) ones += parities[cursor++];
-      bits.push_back(
-          static_cast<std::uint8_t>(2 * ones > static_cast<int>(pairs) ? 1
-                                                                       : 0));
-    }
-    results.emplace_back(Watermark(std::move(bits)));
-  }
-  return results;
 }
 
 }  // namespace sscor

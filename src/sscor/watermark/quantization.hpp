@@ -18,8 +18,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "sscor/flow/flow.hpp"
 #include "sscor/watermark/key_schedule.hpp"
@@ -74,14 +72,5 @@ class QimEmbedder {
 std::optional<Watermark> decode_qim_positional(const KeySchedule& schedule,
                                                DurationUs step,
                                                const Flow& suspicious);
-
-/// Batched positional decoding across key hypotheses: the pair IPDs of
-/// every (applicable) schedule are gathered into one flat array and the
-/// cell parities computed in a single kernel sweep, then majority-voted
-/// per (schedule, bit).  results[i] equals decode_qim_positional applied
-/// to schedules[i] — nullopt included — a tested property.
-std::vector<std::optional<Watermark>> decode_qim_positional_batch(
-    std::span<const KeySchedule* const> schedules, DurationUs step,
-    const Flow& suspicious);
 
 }  // namespace sscor

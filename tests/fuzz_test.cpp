@@ -1,6 +1,7 @@
 // Tests for the differential-fuzzing subsystem: the checked-in regression
-// replays, a fixed-budget fuzz smoke run, case determinism, the allocation
-// guard, and the shrinker.
+// replays, a fixed-budget fuzz smoke run, the pipeline's chaff-volume cap,
+// exceptions escaping an oracle, case determinism, the allocation guard,
+// and the shrinker.
 //
 // SSCOR_CORPUS_DIR (a compile definition) points at tests/corpus/ in the
 // source tree, where `sscor_fuzz --emit-corpus` keeps the seeds and the
@@ -8,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,6 +86,121 @@ TEST(FuzzSmoke, ShortRunIsClean) {
     ADD_FAILURE() << failure.oracle << " iteration " << failure.iteration
                   << ": " << failure.message;
   }
+}
+
+// --------------------------------------------------------------------------
+// A pipeline case whose flow spans about 100 years: its expected chaff
+// (rate x span, about 2.5e9 packets at 0.768 pkt/s) cannot be built, so
+// every oracle on the shared pipeline skips it without allocating.
+
+std::vector<std::uint8_t> huge_span_case() {
+  std::ostringstream out;
+  out << "# sscor-fuzz-case v1\n"
+      << "p bits 2\np redundancy 1\np embed_delay 100000\np key 5\n"
+      << "p wm 1\np chaff_millipps 768\np chaff_seed 3\n"
+      << "p max_delay 1000000\np threshold 1\n"
+      << "flow\n# sscor-flow v1\n";
+  for (int i = 0; i < 40; ++i) out << i * 2'000'000 << " 100 0\n";
+  out << 3'250'000'000'000'000 << " 100 0\n";
+  const std::string text = out.str();
+  return {text.begin(), text.end()};
+}
+
+TEST(FuzzPipeline, HugeSpanChaffCaseIsSkippedWithoutAllocating) {
+  const std::vector<std::uint8_t> payload = huge_span_case();
+  std::size_t checked = 0;
+  for (const auto& oracle : make_default_oracles()) {
+    const std::string_view name = oracle->name();
+    if (name != "differential" && name != "cache_parity" &&
+        name != "batch_parity" && name != "resilient_parity") {
+      continue;
+    }
+    AllocationGuard guard(std::size_t{64} << 20);
+    const OracleResult result = oracle->check(payload);
+    EXPECT_TRUE(result.skipped) << name << ": " << result.message;
+    EXPECT_FALSE(guard.tripped()) << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4u);
+}
+
+// --------------------------------------------------------------------------
+// An exception escaping an oracle's check is a violation with an artifact,
+// never an abort of the run.
+
+/// Fails every payload; throws on the generated case, or (with
+/// `throw_when_shrunk`) only on payloads shorter than it.
+class ThrowingOracle final : public Oracle {
+ public:
+  explicit ThrowingOracle(bool throw_when_shrunk)
+      : throw_when_shrunk_(throw_when_shrunk) {}
+
+  std::string_view name() const override { return "throwing"; }
+
+  std::vector<std::uint8_t> generate(Rng&) override { return case_; }
+
+  OracleResult check(const std::vector<std::uint8_t>& payload) override {
+    if (!throw_when_shrunk_) throw std::bad_alloc();
+    if (payload.size() < case_.size()) {
+      throw std::runtime_error("shrink candidate blew up");
+    }
+    OracleResult result;
+    result.ok = false;
+    result.message = "plain violation";
+    return result;
+  }
+
+  static constexpr std::size_t kCaseBytes = 8;
+
+ private:
+  bool throw_when_shrunk_;
+  std::vector<std::uint8_t> case_ =
+      std::vector<std::uint8_t>(kCaseBytes, 'x');
+};
+
+FuzzReport run_throwing_oracle(bool throw_when_shrunk,
+                               const std::string& artifact_dir) {
+  FuzzOptions options;
+  options.iterations = 1;
+  options.artifact_dir = artifact_dir;
+  std::vector<std::unique_ptr<Oracle>> oracles;
+  oracles.push_back(std::make_unique<ThrowingOracle>(throw_when_shrunk));
+  return run_fuzz(options, std::move(oracles));
+}
+
+std::vector<std::uint8_t> artifact_payload(const FuzzFailure& failure) {
+  std::ifstream in(failure.artifact_path, std::ios::binary);
+  EXPECT_TRUE(in) << "no artifact at " << failure.artifact_path;
+  return parse_replay_artifact(in).payload;
+}
+
+TEST(FuzzExceptions, ThrowingCheckBecomesAViolationWithItsPayload) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("sscor-fuzz-throw-" +
+                                   std::to_string(::getpid()));
+  const FuzzReport report = run_throwing_oracle(false, dir.string());
+  ASSERT_EQ(report.failures.size(), 1u);
+  const FuzzFailure& failure = report.failures[0];
+  EXPECT_NE(failure.message.find("std::bad_alloc"), std::string::npos)
+      << failure.message;
+  EXPECT_EQ(failure.payload.size(), ThrowingOracle::kCaseBytes);
+  EXPECT_EQ(artifact_payload(failure), failure.payload);
+  fs::remove_all(dir);
+}
+
+TEST(FuzzExceptions, ThrowingShrinkCandidateBecomesTheArtifact) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("sscor-fuzz-shrink-throw-" +
+                                   std::to_string(::getpid()));
+  const FuzzReport report = run_throwing_oracle(true, dir.string());
+  ASSERT_EQ(report.failures.size(), 1u);
+  const FuzzFailure& failure = report.failures[0];
+  EXPECT_NE(failure.message.find("shrink candidate blew up"),
+            std::string::npos)
+      << failure.message;
+  EXPECT_LT(failure.payload.size(), ThrowingOracle::kCaseBytes);
+  EXPECT_EQ(artifact_payload(failure), failure.payload);
+  fs::remove_all(dir);
 }
 
 // --------------------------------------------------------------------------

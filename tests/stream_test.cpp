@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -277,6 +278,82 @@ TEST(StreamParity, ThreadCountNeverAffectsVerdicts) {
     EXPECT_EQ(verdicts[i].kind, golden[i].kind) << label;
     EXPECT_EQ(verdicts[i].early, golden[i].early) << label;
     expect_identical_result(verdicts[i].result, golden[i].result, label);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden verdict records (tests/golden/stream_verdicts_small.csv).
+
+/// The corpus seed the golden records were generated from.
+constexpr std::uint64_t kGoldenCorpusSeed = 9;
+
+/// Every verdict of the golden runs over make_stream_corpus (default
+/// config, kGoldenCorpusSeed), one CSV row each, in drain order.
+std::string golden_verdict_rows(std::size_t shards) {
+  experiment::StreamCorpusConfig corpus_config;
+  corpus_config.seed = kGoldenCorpusSeed;
+  const experiment::StreamCorpus corpus =
+      experiment::make_stream_corpus(corpus_config);
+
+  struct Run {
+    const char* name;
+    Algorithm algorithm;
+    bool early_exit;
+    std::uint64_t max_cost_per_attempt;  // 0 = no admission control
+  };
+  // With early exits off every pair takes the end-of-stream decode; the
+  // admission-controlled run degrades the pairs whose Greedy+ decode
+  // exceeds the per-attempt cost cap.
+  const Run runs[] = {
+      {"greedy", Algorithm::kGreedy, true, 0},
+      {"greedy-final", Algorithm::kGreedy, false, 0},
+      {"greedy+", Algorithm::kGreedyPlus, true, 0},
+      {"greedy+-final", Algorithm::kGreedyPlus, false, 0},
+      {"greedy*", Algorithm::kGreedyStar, true, 0},
+      {"greedy*-final", Algorithm::kGreedyStar, false, 0},
+      {"greedy+-admission", Algorithm::kGreedyPlus, false, 5000},
+  };
+
+  std::ostringstream out;
+  out << "run,flow_seq,upstream,kind,early,packets_seen,correlated,"
+         "matching_complete,hamming,cost,best_watermark\n";
+  for (const Run& run : runs) {
+    StreamOptions options;
+    options.algorithm = run.algorithm;
+    options.early_exit = run.early_exit;
+    options.table.shards = shards;
+    options.admission.max_cost_per_attempt = run.max_cost_per_attempt;
+    StreamEngine engine(corpus.upstreams, CorrelatorConfig{}, options);
+    for (const StreamPacket& packet : corpus.packets) engine.ingest(packet);
+    engine.finish();
+    for (const StreamVerdict& v : engine.drain_verdicts()) {
+      const CorrelationResult& r = v.result;
+      out << run.name << ',' << v.flow_seq << ',' << v.upstream << ','
+          << to_string(v.kind) << ',' << v.early << ',' << v.packets_seen
+          << ',' << r.correlated << ',' << r.matching_complete << ','
+          << r.hamming << ',' << r.cost << ',' << r.best_watermark.to_string()
+          << '\n';
+    }
+  }
+  return out.str();
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(SSCOR_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden file " << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The verdict stream of Greedy, Greedy+ and Greedy* (early exits on and
+// off) and of an admission-controlled Greedy+ run, pinned byte for byte at
+// shard counts 1 and 8.
+TEST(GoldenVerdicts, MatchCheckedInRecordsAtShardsOneAndEight) {
+  const std::string golden = read_golden("stream_verdicts_small.csv");
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    EXPECT_EQ(golden_verdict_rows(shards), golden) << "shards " << shards;
   }
 }
 

@@ -9,11 +9,11 @@
 #      multi-shard ingest stress (StreamStress) — which must report zero
 #      races;
 #   3. configure + build an ASan/UBSan tree
-#      (-DSSCOR_SANITIZE=address,undefined), run the match-context parity,
-#      parallel-determinism and hot-path allocation tests, the matching
-#      window / probe-count and candidate-set tests and the golden cost
-#      figures under it, and smoke-run the decode_cache bench with a tiny
-#      pair count;
+#      (-DSSCOR_SANITIZE=address,undefined) and run under it the
+#      match-context parity, parallel-determinism and hot-path allocation
+#      tests, the matching window / probe-count and candidate-set tests,
+#      the batched decode kernel's parity tests, and the golden cost
+#      figures and verdict records;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -33,13 +33,12 @@
 #      ASan/UBSan (incremental == batch, byte for byte — DESIGN.md §12),
 #      then an end-to-end `sscor_tool watch` replay of a generated corpus
 #      capture with --metrics-json/--trace-spans, both outputs validated
-#      with trace_check, plus a BENCH_stream.json throughput baseline;
+#      with trace_check;
 #   8. batched decode kernel: 600 batch_parity oracle iterations under
-#      ASan/UBSan (scalar vs batched SoA decode byte-identical for every
-#      correlator, cost included — DESIGN.md §13), a batch_decode bench
-#      smoke under the sanitized -DSSCOR_SIMD=ON tree, then a separate
-#      -DSSCOR_SIMD=OFF tree whose scalar-dispatch batch_kernel_test and
-#      batch_decode smoke must produce the same byte-identical results;
+#      ASan/UBSan (the batched SoA decode byte-identical to the scalar
+#      reference for every correlator, cost included — DESIGN.md §13),
+#      then a separate -DSSCOR_SIMD=OFF tree whose scalar-dispatch
+#      batch_kernel_test must pass bit for bit;
 #   9. live ops surface: run `sscor_tool watch --stats-addr 127.0.0.1:0
 #      --event-log`, scrape /metrics (strict Prometheus 0.0.4 validation
 #      via trace_check --prom --fetch), /statusz and /healthz (strict
@@ -102,20 +101,16 @@ step_2() {  # ThreadSanitizer build + concurrency smoke tests
     -R 'TsanSmoke|ThreadPool|Parallel|Span|Histogram|DecodeTrace|StreamStress'
 }
 
-step_3() {  # ASan/UBSan build + matching/parity/golden tests + bench smoke
+step_3() {  # ASan/UBSan build + matching/parity/golden tests
   cmake -B "$asan_dir" -S "$repo_root" \
     -DSSCOR_SANITIZE=address,undefined \
     -DSSCOR_SIMD=ON \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
     --target match_context_test parallel_determinism_test hot_path_test \
-             matching_test experiment_test decode_cache
+             matching_test experiment_test batch_kernel_test stream_test
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost'
-  # 400 packets is near the smallest flow that still fits the default
-  # 24-bit watermark (192 redundant bit pairs).
-  "$asan_dir/bench/decode_cache" --pairs=3 --packets=400 --reps=1 \
-    --json="$asan_dir/BENCH_decode_cache.json"
+    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost|BatchKernel|GoldenVerdicts'
 }
 
 step_4() {  # trace smoke: end-to-end pipeline with --trace/--trace-spans
@@ -181,10 +176,9 @@ step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   cmp "$chaos_dir/clean.csv" "$chaos_dir/resumed.csv"
 }
 
-step_7() {  # streaming smoke: parity fuzz + watch e2e + throughput baseline
+step_7() {  # streaming smoke: parity fuzz + watch e2e
   cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz sscor_tool
-  cmake --build "$build_dir" -j "$jobs" \
-    --target sscor_tool trace_check stream_throughput
+  cmake --build "$build_dir" -j "$jobs" --target sscor_tool trace_check
   # 1000 dedicated stream_parity iterations under ASan/UBSan: incremental
   # verdicts/bits/costs byte-identical to batch at shard counts 1 and N.
   "$asan_dir/tools/sscor_fuzz" --oracle stream_parity \
@@ -209,36 +203,26 @@ step_7() {  # streaming smoke: parity fuzz + watch e2e + throughput baseline
   grep -q "POSITIVE" "$watch_dir/watch.out"
   "$check" "$watch_dir/spans.json"
   "$check" "$watch_dir/metrics.json"
-  # Throughput trajectory: packets/sec vs shard count (verdicts must be
-  # identical across every configuration or the bench exits nonzero).
-  "$build_dir/bench/stream_throughput" --flows=2 --packets=600 --seed=5 \
-    --json="$build_dir/BENCH_stream.json"
 }
 
-step_8() {  # batched decode kernel: parity fuzz + SIMD on/off bench smoke
-  cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz batch_decode
-  # 600 batch_parity iterations under ASan/UBSan: every correlator's
-  # batched SoA decode (and the multi-hypothesis entry point) must be
-  # byte-identical to the scalar path, the paper's cost metric included.
+step_8() {  # batched decode kernel: parity fuzz + scalar-dispatch tree
+  cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz
+  # 600 batch_parity iterations under ASan/UBSan (the tree configures
+  # -DSSCOR_SIMD=ON): every correlator's batched SoA decode must be
+  # byte-identical to the scalar reference, the paper's cost metric
+  # included, both over a shared context and cold through
+  # Correlator::correlate.
   "$asan_dir/tools/sscor_fuzz" --oracle batch_parity \
     --iterations 600 --seed 1 --artifacts "$asan_dir/batch-artifacts"
-  # Vectorized-dispatch smoke (the asan tree configures -DSSCOR_SIMD=ON):
-  # batch_decode exits nonzero unless every batched CorrelationResult is
-  # field-identical to the per-hypothesis scalar pass.
-  "$asan_dir/bench/batch_decode" --pairs=2 --packets=400 --hypotheses=4 \
-    --reps=1 --json="$asan_dir/BENCH_batch_decode.json"
   # Scalar-dispatch tree: -DSSCOR_SIMD=OFF flips the default kernel
-  # dispatch to the reference variants; the parity suite and the bench's
-  # built-in identity check must still pass bit for bit.
+  # dispatch to the reference variants; the parity suite must still pass
+  # bit for bit.
   cmake -B "$scalar_dir" -S "$repo_root" \
     -DSSCOR_SIMD=OFF \
     -DSSCOR_BUILD_EXAMPLES=OFF
-  cmake --build "$scalar_dir" -j "$jobs" \
-    --target batch_kernel_test batch_decode
+  cmake --build "$scalar_dir" -j "$jobs" --target batch_kernel_test
   ctest --test-dir "$scalar_dir" --output-on-failure -j "$jobs" \
     -R 'BatchKernel'
-  "$scalar_dir/bench/batch_decode" --pairs=2 --packets=400 --hypotheses=4 \
-    --reps=1 --json="$scalar_dir/BENCH_batch_decode.json"
 }
 
 step_9() {  # live ops surface: stats endpoints + top + observer-only parity
@@ -465,12 +449,12 @@ step_12() {  # repository benchmark smoke: all workloads, tiny size
 step_names=(
   "default build + full test suite"
   "ThreadSanitizer build + concurrency smoke tests"
-  "ASan/UBSan build + match-context parity + bench smoke"
+  "ASan/UBSan build + matching, parity and golden tests"
   "trace smoke: end-to-end pipeline with --trace/--trace-spans"
   "differential fuzz smoke under ASan/UBSan"
   "chaos harness: seeded fault injection under ASan/UBSan"
-  "streaming smoke: parity fuzz + watch e2e + throughput baseline"
-  "batched decode kernel: parity fuzz + SIMD on/off bench smoke"
+  "streaming smoke: parity fuzz + watch e2e"
+  "batched decode kernel: parity fuzz + scalar-dispatch parity tests"
   "live ops surface: stats endpoints + top + observer-only parity"
   "cluster sweep: journal-merge fuzz + 4-shard kill/resume/merge"
   "live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak"
