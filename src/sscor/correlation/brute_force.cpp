@@ -1,14 +1,12 @@
 #include "sscor/correlation/brute_force.hpp"
 
 #include <limits>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/util/cancellation.hpp"
-#include "sscor/util/error.hpp"
 #include "sscor/util/trace.hpp"
 #include "sscor/watermark/decoder.hpp"
 
@@ -125,12 +123,7 @@ CorrelationResult run_brute_force(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
                                   const CorrelatorConfig& config,
-                                  const BruteForceOptions& options,
-                                  const MatchContext* context) {
-  require(context == nullptr ||
-              context->matches(upstream, downstream, config.max_delay,
-                               config.size_constraint),
-          "MatchContext was built for a different pair or key");
+                                  const BruteForceOptions& options) {
   CostMeter cost(config.cost_bound);
   CancelProbe probe(config.budget);
   CorrelationResult result;
@@ -144,33 +137,16 @@ CorrelationResult run_brute_force(const KeySchedule& schedule,
     return result;
   };
 
-  std::optional<CandidateSets> owned;
-  const CandidateSets* sets = nullptr;
   TRACE_SPAN("correlate.brute_force");
-  if (context != nullptr) {
-    // Cache hit: replay the recorded matching cost, then enumerate over
-    // the context's sets (pruned or built, matching the cold-path choice).
-    cost.count(context->build_cost());
-    if (!context->complete()) return rejected();
-    if (options.prune) {
-      cost.count(context->prune_cost());
-      if (!context->prune_ok()) return rejected();
-      sets = &context->pruned_sets();
-    } else {
-      sets = &context->built_sets();
-    }
-  } else {
-    owned.emplace(CandidateSets::build(upstream, downstream, config.max_delay,
-                                       config.size_constraint, cost));
-    if (!owned->complete() || (options.prune && !owned->prune(cost))) {
-      return rejected();
-    }
-    sets = &*owned;
+  CandidateSets sets = CandidateSets::build(
+      upstream, downstream, config.max_delay, config.size_constraint, cost);
+  if (!sets.complete() || (options.prune && !sets.prune(cost))) {
+    return rejected();
   }
 
   const DecodePlan plan(schedule, target);
   std::span<const TimeUs> down_ts = downstream.timestamps();
-  BruteForceSearch search(plan, *sets, down_ts, cost, probe,
+  BruteForceSearch search(plan, sets, down_ts, cost, probe,
                           config.hamming_threshold,
                           options.stop_at_threshold);
   {

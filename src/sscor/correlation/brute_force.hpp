@@ -11,7 +11,6 @@
 
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/match_context.hpp"
 #include "sscor/watermark/key_schedule.hpp"
 #include "sscor/watermark/watermark.hpp"
 
@@ -28,15 +27,10 @@ struct BruteForceOptions {
   bool stop_at_threshold = false;
 };
 
-/// `context`, when non-null, replays the matching phase from the cache
-/// with its recorded cost (see run_greedy_plus); with options.prune
-/// disabled the enumeration runs over the context's unpruned built sets,
-/// exactly as a cold run would.
 CorrelationResult run_brute_force(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
                                   const CorrelatorConfig& config,
-                                  const BruteForceOptions& options = {},
-                                  const MatchContext* context = nullptr);
+                                  const BruteForceOptions& options = {});
 
 }  // namespace sscor

@@ -13,46 +13,6 @@
 namespace sscor {
 namespace {
 
-/// One decode-introspection row for a finished run: per-bit outcome from
-/// the best watermark vs the embedded one, plus the pair's matching-window
-/// shape read from the run's context.  Only called when decode tracing is
-/// on.
-void record_decode_trace(const Watermark& target, const MatchContext& context,
-                         const CorrelationResult& result) {
-  trace::DecodeRecord record;
-  record.algorithm = to_string(result.algorithm);
-  record.correlated = result.correlated;
-  record.hamming = result.hamming;
-  record.cost = result.cost;
-  record.matching_complete = result.matching_complete;
-  record.cost_bound_hit = result.cost_bound_hit;
-
-  if (result.best_watermark.size() == target.size()) {
-    record.bit_outcomes.reserve(target.size());
-    for (std::size_t bit = 0; bit < target.size(); ++bit) {
-      record.bit_outcomes +=
-          result.best_watermark.bit(bit) == target.bit(bit) ? '1' : '0';
-    }
-  } else {
-    record.bit_outcomes.assign(target.size(), '-');
-  }
-
-  const Flow& upstream = context.upstream();
-  const Flow& suspicious = context.downstream();
-  record.upstream_packets = upstream.size();
-  record.downstream_packets = suspicious.size();
-  record.excess_packets = static_cast<std::int64_t>(suspicious.size()) -
-                          static_cast<std::int64_t>(upstream.size());
-
-  for (const MatchWindow& window : context.windows()) {
-    const std::uint64_t width = window.size();
-    record.matched_upstream += width > 0;
-    record.window_total += width;
-    record.window_max = std::max(record.window_max, width);
-  }
-  trace::record_decode(std::move(record));
-}
-
 /// The per-run distributional metrics: where a detect's packet accesses
 /// actually land, plus the interruption tallies (heavy tails are invisible
 /// in process-wide totals).
@@ -71,6 +31,43 @@ void record_run_metrics(const CorrelationResult& result) {
 }
 
 }  // namespace
+
+void record_decode_trace(std::string algorithm, const Watermark& target,
+                         const CorrelationResult& result,
+                         std::span<const MatchWindow> windows,
+                         std::size_t upstream_packets,
+                         std::size_t downstream_packets) {
+  trace::DecodeRecord record;
+  record.algorithm = std::move(algorithm);
+  record.correlated = result.correlated;
+  record.hamming = result.hamming;
+  record.cost = result.cost;
+  record.matching_complete = result.matching_complete;
+  record.cost_bound_hit = result.cost_bound_hit;
+
+  if (result.best_watermark.size() == target.size()) {
+    record.bit_outcomes.reserve(target.size());
+    for (std::size_t bit = 0; bit < target.size(); ++bit) {
+      record.bit_outcomes +=
+          result.best_watermark.bit(bit) == target.bit(bit) ? '1' : '0';
+    }
+  } else {
+    record.bit_outcomes.assign(target.size(), '-');
+  }
+
+  record.upstream_packets = upstream_packets;
+  record.downstream_packets = downstream_packets;
+  record.excess_packets = static_cast<std::int64_t>(downstream_packets) -
+                          static_cast<std::int64_t>(upstream_packets);
+
+  for (const MatchWindow& window : windows) {
+    const std::uint64_t width = window.size();
+    record.matched_upstream += width > 0;
+    record.window_total += width;
+    record.window_max = std::max(record.window_max, width);
+  }
+  trace::record_decode(std::move(record));
+}
 
 std::string to_string(Algorithm algorithm) {
   switch (algorithm) {
@@ -160,7 +157,9 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
   // Latency flushes via latency_guard so aborted runs are measured too.
   record_run_metrics(result);
   if (trace::decode_enabled()) {
-    record_decode_trace(watermarked.watermark, *context, result);
+    record_decode_trace(to_string(result.algorithm), watermarked.watermark,
+                        result, context->windows(), watermarked.flow.size(),
+                        suspicious.size());
   }
   return result;
 }

@@ -11,6 +11,9 @@
 
 #pragma once
 
+#include <span>
+#include <string>
+
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/matching/match_context.hpp"
@@ -46,5 +49,16 @@ class Correlator {
   CorrelatorConfig config_;
   Algorithm algorithm_;
 };
+
+/// Records one decode-introspection row (trace::DecodeRecord) for a
+/// finished run: `algorithm` labels it, the per-bit outcomes compare
+/// `result`'s best watermark with `target`, and the pair's shape comes from
+/// the two flow sizes and its matching `windows`.  Callers guard with
+/// trace::decode_enabled().
+void record_decode_trace(std::string algorithm, const Watermark& target,
+                         const CorrelationResult& result,
+                         std::span<const MatchWindow> windows,
+                         std::size_t upstream_packets,
+                         std::size_t downstream_packets);
 
 }  // namespace sscor

@@ -6,7 +6,6 @@
 #include "sscor/matching/match_windows.hpp"
 #include "sscor/traffic/size_model.hpp"
 #include "sscor/util/cancellation.hpp"
-#include "sscor/util/error.hpp"
 #include "sscor/util/trace.hpp"
 #include "sscor/watermark/decoder.hpp"
 
@@ -50,12 +49,7 @@ std::optional<std::uint32_t> extreme_candidate(
 
 CorrelationResult run_greedy(const DecodePlan& plan, const Flow& upstream,
                              const Flow& downstream,
-                             const CorrelatorConfig& config,
-                             const MatchContext* context) {
-  require(context == nullptr ||
-              context->matches(upstream, downstream, config.max_delay,
-                               config.size_constraint),
-          "MatchContext was built for a different pair or key");
+                             const CorrelatorConfig& config) {
   TRACE_SPAN("correlate.greedy");
   CostMeter cost;
   CancelProbe probe(config.budget);

@@ -19,22 +19,19 @@
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/match_context.hpp"
 
 namespace sscor {
 
 /// Runs Greedy.  `upstream` is the watermarked upstream flow the schedule
 /// indexes into; `downstream` the suspicious flow.
 ///
-/// `context` is validated against the pair and key but not consumed: this
-/// scalar runner is the reference for Greedy's cost model, the ~4rl
+/// This scalar runner is the reference for Greedy's cost model, the ~4rl
 /// binary-search window probes (fig. 7).  The batched engine decodes Greedy
-/// from a context's scan output instead and charges the same probes
-/// (lower_bound_probes of each window bound); the parity suites compare
+/// from a MatchContext's scan output instead and charges the same probes
+/// (lower_bound_probes of each window bound); the parity suite compares
 /// the two.
 CorrelationResult run_greedy(const DecodePlan& plan, const Flow& upstream,
                              const Flow& downstream,
-                             const CorrelatorConfig& config,
-                             const MatchContext* context = nullptr);
+                             const CorrelatorConfig& config);
 
 }  // namespace sscor

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "sscor/util/error.hpp"
 #include "sscor/util/trace.hpp"
 
 namespace sscor {
@@ -13,12 +12,7 @@ namespace detail {
 std::unique_ptr<MatchedDecode> run_shared_phases(
     const KeySchedule& schedule, const Watermark& target, const Flow& upstream,
     const Flow& downstream, const CorrelatorConfig& config,
-    Algorithm algorithm, std::uint64_t cost_bound, CancelProbe& probe,
-    const MatchContext* context) {
-  require(context == nullptr ||
-              context->matches(upstream, downstream, config.max_delay,
-                               config.size_constraint),
-          "MatchContext was built for a different pair or key");
+    Algorithm algorithm, std::uint64_t cost_bound, CancelProbe& probe) {
   auto md = std::make_unique<MatchedDecode>();
   md->cost = CostMeter(cost_bound);
   md->down_ts = downstream.timestamps();
@@ -61,33 +55,21 @@ std::unique_ptr<MatchedDecode> run_shared_phases(
   // or an infeasible pruning, is an immediate negative (paper §3.2).
   {
     TRACE_SPAN("correlate.match");
-    if (context != nullptr) {
-      // Cache hit: replay the recorded access counts so the reported cost
-      // is identical to a cold run (the cost-replay invariant, DESIGN.md).
-      md->cost.count(context->build_cost());
-      if (!context->complete()) return rejected(false);
-      md->cost.count(context->prune_cost());
-      if (!context->prune_ok()) return rejected(false);
-      md->sets = &context->pruned_sets();
-    } else {
+    {
       TRACE_SPAN("correlate.match.build");
-      md->owned_sets = std::make_unique<CandidateSets>(
-          CandidateSets::build(upstream, downstream, config.max_delay,
-                               config.size_constraint, md->cost));
-      if (!md->owned_sets->complete()) return rejected(false);
-      {
-        TRACE_SPAN("correlate.match.prune");
-        if (!md->owned_sets->prune(md->cost)) return rejected(false);
-      }
-      md->sets = md->owned_sets.get();
+      md->sets = CandidateSets::build(upstream, downstream, config.max_delay,
+                                      config.size_constraint, md->cost);
     }
+    if (!md->sets.complete()) return rejected(false);
+    TRACE_SPAN("correlate.match.prune");
+    if (!md->sets.prune(md->cost)) return rejected(false);
   }
   if (probe.should_stop(md->cost.accesses())) return interrupted_early();
 
   // Phase 2: Greedy on the pruned sets.
   TRACE_SPAN("correlate.greedy");
   md->plan = std::make_unique<DecodePlan>(schedule, target);
-  md->state = std::make_unique<SelectionState>(*md->plan, *md->sets,
+  md->state = std::make_unique<SelectionState>(*md->plan, md->sets,
                                                md->down_ts, md->cost);
   if (probe.should_stop(md->cost.accesses())) return interrupted_early();
   md->never_match.assign(md->plan->bit_count(), false);
@@ -153,13 +135,12 @@ CorrelationResult finish_result(Algorithm algorithm,
 CorrelationResult run_greedy_plus(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
-                                  const CorrelatorConfig& config,
-                                  const MatchContext* context) {
+                                  const CorrelatorConfig& config) {
   CancelProbe probe(config.budget);
   auto md = detail::run_shared_phases(
       schedule, target, upstream, downstream, config,
       Algorithm::kGreedyPlus,
-      std::numeric_limits<std::uint64_t>::max(), probe, context);
+      std::numeric_limits<std::uint64_t>::max(), probe);
   if (md->early) return *md->early;
 
   // Phase 4: local search over the still-fixable mismatched bits.

@@ -27,33 +27,25 @@
 #include "sscor/correlation/selection.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/matching/candidate_sets.hpp"
-#include "sscor/matching/match_context.hpp"
 #include "sscor/util/cancellation.hpp"
 #include "sscor/watermark/key_schedule.hpp"
 
 namespace sscor {
 
-/// `context`, when non-null, must have been built for exactly this
-/// (upstream, downstream, max_delay, size constraint); phase 1 is then
-/// replayed from the cache with the recorded cost charged to this run's
-/// meter, so the reported cost is identical to a cold run.
 CorrelationResult run_greedy_plus(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
-                                  const CorrelatorConfig& config,
-                                  const MatchContext* context = nullptr);
+                                  const CorrelatorConfig& config);
 
 namespace detail {
 
-/// State after the shared phases 1-3.  Held behind unique_ptr members so
-/// the struct stays movable while SelectionState points into sets/plan.
+/// State after the shared phases 1-3.  run_shared_phases hands it out
+/// behind a unique_ptr, so SelectionState may point into sets and plan.
 struct MatchedDecode {
   CostMeter cost;
   std::span<const TimeUs> down_ts;
-  /// Cold-path storage; on a context hit the sets live in the context.
-  std::unique_ptr<CandidateSets> owned_sets;
-  /// The pruned sets phase 2+ decodes from (owned or context-shared).
-  const CandidateSets* sets = nullptr;
+  /// The pruned sets phase 2+ decodes from.
+  CandidateSets sets;
   std::unique_ptr<DecodePlan> plan;
   std::unique_ptr<SelectionState> state;
   /// Bits even Greedy cannot match; no selection can fix them.
@@ -64,14 +56,12 @@ struct MatchedDecode {
 
 /// Runs phases 1-3.  `algorithm` labels the result; `cost_bound` applies to
 /// the whole run (Greedy* passes the configured bound, Greedy+ no bound).
-/// A non-null `context` replays phase 1 from the cache (see run_greedy_plus).
 /// `probe` is polled between phases; on stop the returned MatchedDecode
 /// carries an `early` best-so-far result with `interrupted` set.
 std::unique_ptr<MatchedDecode> run_shared_phases(
     const KeySchedule& schedule, const Watermark& target, const Flow& upstream,
     const Flow& downstream, const CorrelatorConfig& config,
-    Algorithm algorithm, std::uint64_t cost_bound, CancelProbe& probe,
-    const MatchContext* context = nullptr);
+    Algorithm algorithm, std::uint64_t cost_bound, CancelProbe& probe);
 
 /// Mismatched, fixable (non-never-match) bits ordered by |D| ascending —
 /// the paper's D-minus processing order.

@@ -157,12 +157,11 @@ class StarEnumerator {
 CorrelationResult run_greedy_star(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
-                                  const CorrelatorConfig& config,
-                                  const MatchContext* context) {
+                                  const CorrelatorConfig& config) {
   CancelProbe probe(config.budget);
   auto md = detail::run_shared_phases(schedule, target, upstream, downstream,
                                       config, Algorithm::kGreedyStar,
-                                      config.cost_bound, probe, context);
+                                      config.cost_bound, probe);
   if (md->early) {
     md->early->cost_bound_hit = md->cost.exhausted();
     return *md->early;

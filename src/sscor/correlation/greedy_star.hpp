@@ -11,18 +11,14 @@
 
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/match_context.hpp"
 #include "sscor/watermark/key_schedule.hpp"
 #include "sscor/watermark/watermark.hpp"
 
 namespace sscor {
 
-/// `context`, when non-null, replays the shared matching phase from the
-/// cache with its recorded cost (see run_greedy_plus).
 CorrelationResult run_greedy_star(const KeySchedule& schedule,
                                   const Watermark& target,
                                   const Flow& upstream, const Flow& downstream,
-                                  const CorrelatorConfig& config,
-                                  const MatchContext* context = nullptr);
+                                  const CorrelatorConfig& config);
 
 }  // namespace sscor

@@ -18,12 +18,29 @@ constexpr std::array<Algorithm, 4> kTierOrder = {
     Algorithm::kGreedy,
 };
 
-/// Per-algorithm counters "resilient.<what>.<algorithm>", looked up once.
+/// A tier's name in metric names.  to_string() would not do: "Greedy+"
+/// and "Greedy*" both read "Greedy_" as Prometheus names, which would
+/// render two families under one name.
+const char* tier_metric_name(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::kBruteForce:
+      return "brute_force";
+    case Algorithm::kGreedy:
+      return "greedy";
+    case Algorithm::kGreedyPlus:
+      return "greedy_plus";
+    case Algorithm::kGreedyStar:
+      return "greedy_star";
+  }
+  return "unknown";
+}
+
+/// Per-algorithm counters "resilient.<what>.<tier>", looked up once.
 struct TierCounters {
   explicit TierCounters(const std::string& what) {
     for (const Algorithm algorithm : kTierOrder) {
       by_algorithm[static_cast<int>(algorithm)] = &metrics::counter(
-          "resilient." + what + "." + to_string(algorithm));
+          "resilient." + what + "." + tier_metric_name(algorithm));
     }
   }
   metrics::Counter& operator[](Algorithm algorithm) const {

@@ -1,14 +1,13 @@
 #include "sscor/correlation/robust.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "sscor/correlation/correlator.hpp"
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/util/cancellation.hpp"
-#include "sscor/util/error.hpp"
 #include "sscor/util/trace.hpp"
 #include "sscor/watermark/decoder.hpp"
 
@@ -58,12 +57,7 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
                                   const Flow& upstream,
                                   const Flow& downstream,
                                   const CorrelatorConfig& config,
-                                  const RobustOptions& options,
-                                  const MatchContext* context) {
-  require(context == nullptr ||
-              context->matches(upstream, downstream, config.max_delay,
-                               config.size_constraint),
-          "MatchContext was built for a different pair or key");
+                                  const RobustOptions& options) {
   TRACE_SPAN("correlate.robust");
   CostMeter cost;
   CancelProbe probe(config.budget);
@@ -92,15 +86,8 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
   CandidateSets sets;
   {
     TRACE_SPAN("correlate.match");
-    if (context != nullptr) {
-      // The gap-prune budget depends on `options`, so only the built sets
-      // come from the cache; pruning runs live on this copy.
-      cost.count(context->build_cost());
-      sets = context->built_sets();
-    } else {
-      sets = CandidateSets::build(upstream, downstream, config.max_delay,
-                                  config.size_constraint, cost);
-    }
+    sets = CandidateSets::build(upstream, downstream, config.max_delay,
+                                config.size_constraint, cost);
   }
   const auto budget = static_cast<std::size_t>(
       options.max_unmatched_fraction *
@@ -208,52 +195,19 @@ CorrelationResult run_greedy_plus_robust(const KeySchedule& schedule,
                                          const Flow& upstream,
                                          const Flow& downstream,
                                          const CorrelatorConfig& config,
-                                         const RobustOptions& options,
-                                         const MatchContext* context) {
+                                         const RobustOptions& options) {
   const CorrelationResult result = run_robust_impl(
-      schedule, target, upstream, downstream, config, options, context);
+      schedule, target, upstream, downstream, config, options);
   if (trace::decode_enabled()) {
     // The robust variant is invoked directly (not via Correlator), so it
     // emits its own introspection row; the window scan below is diagnostic
     // and never charged to the paper's cost metric.
-    trace::DecodeRecord record;
-    record.algorithm = "Greedy+robust";
-    record.correlated = result.correlated;
-    record.hamming = result.hamming;
-    record.cost = result.cost;
-    record.matching_complete = result.matching_complete;
-    record.cost_bound_hit = result.cost_bound_hit;
-    if (result.best_watermark.size() == target.size()) {
-      record.bit_outcomes.reserve(target.size());
-      for (std::size_t bit = 0; bit < target.size(); ++bit) {
-        record.bit_outcomes +=
-            result.best_watermark.bit(bit) == target.bit(bit) ? '1' : '0';
-      }
-    } else {
-      record.bit_outcomes.assign(target.size(), '-');
-    }
-    record.upstream_packets = upstream.size();
-    record.downstream_packets = downstream.size();
-    record.excess_packets = static_cast<std::int64_t>(downstream.size()) -
-                            static_cast<std::int64_t>(upstream.size());
-    std::vector<MatchWindow> windows;
-    if (context != nullptr &&
-        context->matches(upstream, downstream, config.max_delay,
-                         config.size_constraint)) {
-      windows.assign(context->windows().begin(), context->windows().end());
-    } else {
-      CostMeter scratch;
-      windows = scan_match_windows(upstream.timestamps(),
-                                   downstream.timestamps(), config.max_delay,
-                                   scratch);
-    }
-    for (const MatchWindow& window : windows) {
-      const std::uint64_t width = window.size();
-      record.matched_upstream += width > 0;
-      record.window_total += width;
-      record.window_max = std::max(record.window_max, width);
-    }
-    trace::record_decode(std::move(record));
+    CostMeter scratch;
+    const auto windows = scan_match_windows(
+        upstream.timestamps(), downstream.timestamps(), config.max_delay,
+        scratch);
+    record_decode_trace("Greedy+robust", target, result, windows,
+                        upstream.size(), downstream.size());
   }
   return result;
 }

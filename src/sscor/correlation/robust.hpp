@@ -19,7 +19,6 @@
 
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
-#include "sscor/matching/match_context.hpp"
 #include "sscor/watermark/key_schedule.hpp"
 #include "sscor/watermark/watermark.hpp"
 
@@ -31,17 +30,12 @@ struct RobustOptions {
   double max_unmatched_fraction = 0.05;
 };
 
-/// `context`, when non-null, supplies the built (unpruned) matching sets
-/// and their recorded build cost.  The gap-aware pruning still runs live
-/// on a copy — its tolerance budget depends on `options`, so its output
-/// cannot be cached — but its access count is a pure function of the
-/// built sets, so the reported cost stays identical to a cold run.
+/// Runs the loss-tolerant Greedy+ variant, matching phase included.
 CorrelationResult run_greedy_plus_robust(const KeySchedule& schedule,
                                          const Watermark& target,
                                          const Flow& upstream,
                                          const Flow& downstream,
                                          const CorrelatorConfig& config,
-                                         const RobustOptions& options = {},
-                                         const MatchContext* context = nullptr);
+                                         const RobustOptions& options = {});
 
 }  // namespace sscor

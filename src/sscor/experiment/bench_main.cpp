@@ -1,8 +1,8 @@
 #include "sscor/experiment/bench_main.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <string_view>
@@ -45,6 +45,17 @@ bool consume(std::string_view arg, std::string_view prefix,
   return true;
 }
 
+/// A whole, non-negative decimal number that fits in `T`; anything else
+/// (empty, a sign, trailing characters, overflow) is a usage error.
+template <typename T>
+T count_or_usage(std::string_view value, const char* argv0) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, out);
+  if (error != std::errc{} || stop != end) usage(argv0);
+  return out;
+}
+
 }  // namespace
 
 BenchOptions parse_bench_options(int argc, char** argv,
@@ -55,17 +66,17 @@ BenchOptions parse_bench_options(int argc, char** argv,
     const std::string_view arg = argv[i];
     std::string_view value;
     if (consume(arg, "--flows=", value)) {
-      options.config.flows = std::strtoull(value.data(), nullptr, 10);
+      options.config.flows = count_or_usage<std::size_t>(value, argv[0]);
     } else if (consume(arg, "--packets=", value)) {
       options.config.packets_per_flow =
-          std::strtoull(value.data(), nullptr, 10);
+          count_or_usage<std::size_t>(value, argv[0]);
     } else if (consume(arg, "--fp-pairs=", value)) {
-      options.config.fp_pairs = std::strtoull(value.data(), nullptr, 10);
+      options.config.fp_pairs = count_or_usage<std::size_t>(value, argv[0]);
     } else if (consume(arg, "--seed=", value)) {
-      options.config.master_seed = std::strtoull(value.data(), nullptr, 10);
+      options.config.master_seed =
+          count_or_usage<std::uint64_t>(value, argv[0]);
     } else if (consume(arg, "--threads=", value)) {
-      options.config.threads =
-          static_cast<unsigned>(std::strtoul(value.data(), nullptr, 10));
+      options.config.threads = count_or_usage<unsigned>(value, argv[0]);
     } else if (consume(arg, "--metrics-json=", value)) {
       options.metrics_json = std::string(value);
     } else if (consume(arg, "--trace=", value)) {

@@ -70,6 +70,16 @@ struct SweepPlan {
 };
 
 SweepPlan build_plan(const ExperimentConfig& config, const SweepSpec& spec) {
+  // Every cell is a rate or a mean over the flows (detection metrics) or
+  // over sampled pairs of distinct flows (false-positive metrics); with no
+  // sample it would divide by zero and print a table of NaN or zero cells.
+  require(config.flows > 0, "flows must be positive");
+  if (!needs_detection(spec.metric)) {
+    require(config.flows >= 2,
+            "flows must be >= 2 for the fp and cost-uncorr metrics");
+    require(config.fp_pairs > 0,
+            "fp_pairs must be positive for the fp and cost-uncorr metrics");
+  }
   SweepPlan plan;
   std::vector<double> chaff_rates;
   std::vector<DurationUs> max_delays;

@@ -510,107 +510,8 @@ class DifferentialOracle final : public Oracle {
 };
 
 // ---------------------------------------------------------------------------
-// Oracle 3: cache_parity.
-
-class CacheParityOracle final : public Oracle {
- public:
-  std::string_view name() const override { return "cache_parity"; }
-
-  std::vector<std::uint8_t> generate(Rng& rng) override {
-    return generate_pipeline_case(rng, /*max_bits=*/4);
-  }
-
-  OracleResult check(const std::vector<std::uint8_t>& payload) override {
-    const auto parsed = parse_case(payload);
-    if (!parsed) return skip_case();
-    const auto pipe = build_pipeline(*parsed);
-    if (!pipe) return skip_case();
-
-    const KeySchedule& schedule = pipe->watermarked.schedule;
-    const Watermark& wm = pipe->watermarked.watermark;
-    const Flow& up = pipe->watermarked.flow;
-    const Flow& down = pipe->downstream;
-    const CorrelatorConfig& config = pipe->config;
-    const MatchContext context = MatchContext::build(
-        up, down, config.max_delay, config.size_constraint);
-    const DecodePlan plan(schedule, wm);
-
-    const auto mismatch = [](const char* algo, const CorrelationResult& cold,
-                             const CorrelationResult& warm) -> std::string {
-      const auto field = [&](const char* what, auto a, auto b) {
-        return std::string(algo) + " diverges between cold and cached "
-               "matching: " + what + " " + std::to_string(a) + " vs " +
-               std::to_string(b);
-      };
-      if (cold.correlated != warm.correlated) {
-        return field("correlated", cold.correlated, warm.correlated);
-      }
-      if (cold.hamming != warm.hamming) {
-        return field("hamming", cold.hamming, warm.hamming);
-      }
-      if (cold.cost != warm.cost) return field("cost", cold.cost, warm.cost);
-      if (cold.matching_complete != warm.matching_complete) {
-        return field("matching_complete", cold.matching_complete,
-                     warm.matching_complete);
-      }
-      if (cold.cost_bound_hit != warm.cost_bound_hit) {
-        return field("cost_bound_hit", cold.cost_bound_hit,
-                     warm.cost_bound_hit);
-      }
-      if (!(cold.best_watermark == warm.best_watermark)) {
-        return std::string(algo) +
-               " diverges between cold and cached matching: best watermark " +
-               cold.best_watermark.to_string() + " vs " +
-               warm.best_watermark.to_string();
-      }
-      return {};
-    };
-
-    BruteForceOptions bf_options;
-    {
-      const auto cold =
-          run_brute_force(schedule, wm, up, down, config, bf_options);
-      const auto warm = run_brute_force(schedule, wm, up, down, config,
-                                        bf_options, &context);
-      if (auto m = mismatch("brute-force", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy(plan, up, down, config);
-      const auto warm = run_greedy(plan, up, down, config, &context);
-      if (auto m = mismatch("greedy", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy_plus(schedule, wm, up, down, config);
-      const auto warm =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      const auto warm2 =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      if (auto m = mismatch("greedy+", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-      if (auto m = mismatch("greedy+ (second cached run)", warm, warm2);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto cold = run_greedy_star(schedule, wm, up, down, config);
-      const auto warm =
-          run_greedy_star(schedule, wm, up, down, config, &context);
-      if (auto m = mismatch("greedy*", cold, warm); !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    return {};
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Oracles 4-5: resilience (resilient_parity, chaos_decode).
+// Oracles 3-5: decode parity (batch_parity, resilient_parity,
+// chaos_decode).
 
 /// The resilience ladder's tier order; index parameters in the chaos
 /// payloads select from it.
@@ -652,8 +553,7 @@ std::string result_mismatch(const std::string& label,
   return {};
 }
 
-/// The scalar reference run of `algorithm` with no context, so the matching
-/// phase runs inline.
+/// The scalar reference run of `algorithm`: it runs its own matching phase.
 CorrelationResult run_cold_scalar(Algorithm algorithm,
                                   const WatermarkedFlow& marked,
                                   const Flow& down,
@@ -675,11 +575,12 @@ CorrelationResult run_cold_scalar(Algorithm algorithm,
   throw InternalError("unhandled algorithm");
 }
 
-/// batch_parity: the batched SoA decode engine is byte-identical to the
-/// scalar reference runners — over a shared MatchContext through one reused
-/// workspace (where scratch an earlier decode dirtied is the failure mode
-/// the scalar engines cannot have), and cold: Correlator::correlate, the
-/// one production entry point, against a context-free scalar run.
+/// batch_parity: production decodes equal the cold scalar reference, which
+/// shares no matching state with them.  For every algorithm the reference
+/// must equal BatchDecoder::decode_one over the pair's MatchContext,
+/// decoded twice through one reused workspace (scratch an earlier decode
+/// dirtied must not leak, and a decode must not change the context), and
+/// Correlator::correlate with no context.
 class BatchParityOracle final : public Oracle {
  public:
   std::string_view name() const override { return "batch_parity"; }
@@ -694,74 +595,35 @@ class BatchParityOracle final : public Oracle {
     const auto pipe = build_pipeline(*parsed);
     if (!pipe) return skip_case();
 
-    const KeySchedule& schedule = pipe->watermarked.schedule;
-    const Watermark& wm = pipe->watermarked.watermark;
-    const Flow& up = pipe->watermarked.flow;
+    const WatermarkedFlow& marked = pipe->watermarked;
     const Flow& down = pipe->downstream;
     const CorrelatorConfig& config = pipe->config;
     const MatchContext context = MatchContext::build(
-        up, down, config.max_delay, config.size_constraint);
+        marked.flow, down, config.max_delay, config.size_constraint);
 
     // One workspace across every check: later decodes run over scratch the
     // earlier ones dirtied.
     batch::DecodeWorkspace workspace;
     batch::BatchDecoder decoder(config, &workspace);
-    const batch::DecodeHypothesis hyp{&schedule, &wm};
+    const batch::DecodeHypothesis hyp{&marked.schedule, &marked.watermark};
 
-    {
-      const auto scalar =
-          run_brute_force(schedule, wm, up, down, config, {}, &context);
-      const auto batched =
-          decoder.decode_one(Algorithm::kBruteForce, context, hyp);
-      if (auto m = result_mismatch("brute-force scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const DecodePlan plan(schedule, wm);
-      const auto scalar = run_greedy(plan, up, down, config, &context);
-      const auto batched = decoder.decode_one(Algorithm::kGreedy, context, hyp);
-      if (auto m = result_mismatch("greedy scalar vs batched", scalar, batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto scalar =
-          run_greedy_plus(schedule, wm, up, down, config, &context);
-      const auto batched =
-          decoder.decode_one(Algorithm::kGreedyPlus, context, hyp);
-      if (auto m = result_mismatch("greedy+ scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
-    {
-      const auto scalar =
-          run_greedy_star(schedule, wm, up, down, config, &context);
-      const auto batched =
-          decoder.decode_one(Algorithm::kGreedyStar, context, hyp);
-      if (auto m = result_mismatch("greedy* scalar vs batched", scalar,
-                                   batched);
-          !m.empty()) {
-        return violation(std::move(m));
-      }
-    }
     for (const Algorithm algorithm :
          {Algorithm::kBruteForce, Algorithm::kGreedy, Algorithm::kGreedyPlus,
           Algorithm::kGreedyStar}) {
-      const auto scalar = run_cold_scalar(algorithm, pipe->watermarked, down,
-                                          config);
+      const std::string label = to_string(algorithm) + " cold scalar vs ";
+      const auto reference = run_cold_scalar(algorithm, marked, down, config);
+      const auto shared = decoder.decode_one(algorithm, context, hyp);
+      const auto again = decoder.decode_one(algorithm, context, hyp);
       const auto production =
-          Correlator(config, algorithm).correlate(pipe->watermarked, down);
-      if (auto m = result_mismatch(
-              to_string(algorithm) + " cold scalar vs correlate", scalar,
-              production);
-          !m.empty()) {
-        return violation(std::move(m));
+          Correlator(config, algorithm).correlate(marked, down);
+      for (const auto& [what, result] :
+           {std::pair{"shared context", &shared},
+            std::pair{"shared context, second decode", &again},
+            std::pair{"correlate", &production}}) {
+        if (auto m = result_mismatch(label + what, reference, *result);
+            !m.empty()) {
+          return violation(std::move(m));
+        }
       }
     }
     return {};
@@ -2011,7 +1873,6 @@ std::vector<std::unique_ptr<Oracle>> make_default_oracles() {
   std::vector<std::unique_ptr<Oracle>> oracles;
   oracles.push_back(std::make_unique<QimRoundtripOracle>());
   oracles.push_back(std::make_unique<DifferentialOracle>());
-  oracles.push_back(std::make_unique<CacheParityOracle>());
   oracles.push_back(std::make_unique<BatchParityOracle>());
   oracles.push_back(std::make_unique<ResilientParityOracle>());
   oracles.push_back(std::make_unique<ChaosDecodeOracle>());

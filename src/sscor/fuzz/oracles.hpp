@@ -13,7 +13,7 @@
 //                    out-of-clamp — the shrinker legitimately produces
 //                    such payloads and they count as passes).
 //
-// The thirteen oracles:
+// The twelve oracles:
 //
 //   qim_roundtrip    embed → decode of the QIM scheme is exact whenever all
 //                    IPDs exceed 2*step (no FIFO cascade).  Catches the
@@ -23,13 +23,11 @@
 //                    matching-complete verdict agrees across matchers, and
 //                    chaff+constant-delay alone can never destroy the
 //                    watermark.
-//   cache_parity     every algorithm returns byte-identical results with a
-//                    cached MatchContext and with a cold matching run.
-//   batch_parity     the batched SoA decode engine equals the scalar
-//                    reference runners for every algorithm: over a shared
-//                    context through one reused workspace, and cold
-//                    (Correlator::correlate against a context-free scalar
-//                    run).
+//   batch_parity     production decodes equal the cold scalar reference
+//                    (which runs its own matching phase) for every
+//                    algorithm: BatchDecoder over the pair's shared
+//                    MatchContext, decoded twice through one reused
+//                    workspace, and Correlator::correlate with no context.
 //   resilient_parity whatever tier the fallback ladder lands on equals that
 //                    algorithm run directly under the same budget; with
 //                    resilience disabled the ladder collapses to the plain
@@ -106,7 +104,7 @@ class Oracle {
   virtual void add_seed(std::vector<std::uint8_t> seed) { (void)seed; }
 };
 
-/// All thirteen oracles, in the round-robin order the fuzzer drives them.
+/// All twelve oracles, in the round-robin order the fuzzer drives them.
 std::vector<std::unique_ptr<Oracle>> make_default_oracles();
 
 /// Deterministic regression payloads reproducing the historical bugs this

@@ -104,6 +104,18 @@ namespace {
 /// (scalar: nullopt) and the brute force slot table (scalar: uint32 max).
 constexpr std::uint32_t kNoChoice = 0xffffffffu;
 
+/// Replays the reference decoders' matching phase from the context (the
+/// cost-replay invariant): charges the recorded build cost, rejects an
+/// incomplete build, charges the recorded prune cost, rejects a failed
+/// prune.  Returns false on a reject, with the meter where the reference
+/// stands when it rejects.
+bool replay_matching(const MatchContext& ctx, CostMeter& cost) {
+  cost.count(ctx.build_cost());
+  if (!ctx.complete()) return false;
+  cost.count(ctx.prune_cost());
+  return ctx.prune_ok();
+}
+
 // ------------------------------------------------- Greedy+/Greedy* engine
 
 /// The SoA mirror of SelectionState plus detail::run_shared_phases, with
@@ -126,16 +138,12 @@ class SelectionRun {
         bits_(plan.bit_count()),
         ppb_(plan.pairs_per_bit()) {}
 
-  // --- phases 1-3 (port of detail::run_shared_phases' context path) ---
+  // --- phases 1-3 (port of detail::run_shared_phases) ---
 
   void shared_phases() {
     {
       TRACE_SPAN("correlate.match");
-      // Replay the recorded matching counts (the cost-replay invariant).
-      cost_.count(ctx_.build_cost());
-      if (!ctx_.complete()) return rejected(false);
-      cost_.count(ctx_.prune_cost());
-      if (!ctx_.prune_ok()) return rejected(false);
+      if (!replay_matching(ctx_, cost_)) return rejected(false);
     }
     if (probe_.should_stop(cost_.accesses())) return interrupted_early();
 
@@ -711,10 +719,7 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
   };
 
   TRACE_SPAN("correlate.brute_force");
-  cost.count(ctx.build_cost());
-  if (!ctx.complete()) return rejected();
-  cost.count(ctx.prune_cost());
-  if (!ctx.prune_ok()) return rejected();
+  if (!replay_matching(ctx, cost)) return rejected();
   const CandidateSets& sets = ctx.pruned_sets();
 
   const std::size_t n_up = sets.upstream_size();

@@ -23,16 +23,18 @@
 //                   differences, per-bit reductions) routed through the
 //                   batch_kernels.hpp scalar/vectorized pairs.
 //
-// The scalar run_* functions stay as the reference implementation.  The
-// cost-replay invariant ties the two: every CorrelationResult field — cost
-// included — is byte-identical to the scalar algorithm run with the same
-// MatchContext (and therefore, by the match-context parity suite, to a
-// cold scalar run).  The ports replicate the reference algorithms' access
-// counting at every observable point: bulk counts are only substituted
-// between probe/exhaustion polls, and early-out paths (try_advance's
-// reject-before-later-bits, the DFS bound checks) keep the reference
-// evaluation order.  tests/batch_kernel_test.cpp and the batch_parity fuzz
-// oracle pin this for all four algorithms.
+// The scalar run_* functions stay as the reference implementation, and they
+// decode cold: each runs its own matching phase, sharing no state with a
+// context.  The cost-replay invariant ties the two: the context is the
+// only consumer of the matching phase here, its recorded costs are
+// replayed into each decode, and every CorrelationResult field — cost
+// included — is byte-identical to the cold reference run.  The ports
+// replicate the reference algorithms' access counting at every observable
+// point: bulk counts are only substituted between probe/exhaustion polls,
+// and early-out paths (try_advance's reject-before-later-bits, the DFS
+// bound checks) keep the reference evaluation order.
+// tests/batch_kernel_test.cpp and the batch_parity fuzz oracle pin this
+// for all four algorithms.
 
 #pragma once
 
@@ -177,9 +179,9 @@ class BatchDecoder {
   /// Decodes one hypothesis with the given algorithm.  `context` must have
   /// been built for the pair being decoded (its flows and key are the
   /// single source of truth — there is no separate flow argument to
-  /// mismatch).  Byte-identical to the scalar run_* with the same context
-  /// (Brute Force with its default options).  Many hypotheses against one
-  /// pair share one context: call this once per hypothesis.
+  /// mismatch).  Byte-identical to the cold scalar run_* reference (Brute
+  /// Force with its default options).  Many hypotheses against one pair
+  /// share one context: call this once per hypothesis.
   CorrelationResult decode_one(Algorithm algorithm,
                                const MatchContext& context,
                                const DecodeHypothesis& hypothesis);

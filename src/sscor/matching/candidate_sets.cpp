@@ -38,8 +38,7 @@ CandidateSets CandidateSets::build_from_windows(
               "matching window extends past the downstream flow");
       out.ranges_[i] = Range{window.lo, window.lo + window.size()};
     }
-    out.flat_ = std::make_shared<const std::vector<std::uint32_t>>(
-        std::move(indices));
+    out.flat_ = std::move(indices);
     return out;
   }
   std::size_t total = 0;
@@ -68,8 +67,7 @@ CandidateSets CandidateSets::build_from_windows(
     }
     range.end = flat.size();
   }
-  out.flat_ = std::make_shared<const std::vector<std::uint32_t>>(
-      std::move(flat));
+  out.flat_ = std::move(flat);
   return out;
 }
 
@@ -84,9 +82,9 @@ std::size_t CandidateSets::empty_count() const {
                     [](const Range& r) { return r.begin == r.end; }));
 }
 
-// Both prune passes only ever narrow each range over the immutable flat
-// array, so the loops below run on a raw pointer with local cursors and
-// charge the meter once per range with the pointer distance — one access
+// Both prune passes only ever narrow each range over the flat array, so
+// the loops below run on a raw pointer with local cursors and charge the
+// meter once per range with the pointer distance — one access
 // per dropped candidate plus one for reading the surviving extreme, the
 // same totals the previous per-element counting produced.
 
@@ -95,7 +93,7 @@ bool CandidateSets::prune_allowing_gaps(CostMeter& cost,
   std::size_t empties = empty_count();
   if (empties > max_empty) return false;
 
-  const std::uint32_t* flat = flat_->data();
+  const std::uint32_t* flat = flat_.data();
   std::int64_t floor = -1;
   for (auto& range : ranges_) {
     if (range.begin == range.end) continue;
@@ -135,7 +133,7 @@ bool CandidateSets::prune_allowing_gaps(CostMeter& cost,
 bool CandidateSets::prune(CostMeter& cost) {
   // Forward pass: the i-th packet's candidate must exceed the smallest
   // feasible candidate of packet i-1, so drop any prefix at or below it.
-  const std::uint32_t* flat = flat_->data();
+  const std::uint32_t* flat = flat_.data();
   std::int64_t floor = -1;
   for (auto& range : ranges_) {
     std::size_t b = range.begin;

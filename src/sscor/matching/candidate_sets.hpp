@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -61,7 +60,7 @@ class CandidateSets {
 
   std::span<const std::uint32_t> set(std::size_t i) const {
     const Range& r = ranges_.at(i);
-    return {flat_->data() + r.begin, r.end - r.begin};
+    return {flat_.data() + r.begin, r.end - r.begin};
   }
 
   /// True when every upstream packet has at least one candidate — the
@@ -95,15 +94,12 @@ class CandidateSets {
   // stores the downstream indices 0..m-1 once, and overlapping windows
   // share their slices of it.  Both prune variants only ever trim a
   // prefix / suffix of a (sorted) list, so pruning just narrows the slice
-  // and the flat array itself is immutable once built — which lets copies
-  // share it (MatchContext retains built and pruned variants; the robust
-  // correlator prunes a copy), so copying a CandidateSets costs one small
-  // ranges-vector copy instead of one allocation per upstream packet.
+  // and never touches the flat array.
   struct Range {
     std::size_t begin = 0;
     std::size_t end = 0;
   };
-  std::shared_ptr<const std::vector<std::uint32_t>> flat_;
+  std::vector<std::uint32_t> flat_;
   std::vector<Range> ranges_;
   bool pruned_ = false;
 };

@@ -45,20 +45,11 @@ MatchContext MatchContext::build(const Flow& upstream, const Flow& downstream,
                                    ctx.down_quantized_.data(),
                                    down_sizes.size());
   }
-  ctx.built_sets_ = CandidateSets::build_from_windows(
+  ctx.sets_ = CandidateSets::build_from_windows(
       ctx.windows_, upstream, downstream, size, ctx.up_quantized_,
       build_meter, ctx.down_quantized_);
   ctx.build_cost_ = build_meter.accesses();
-  ctx.complete_ = ctx.built_sets_.complete();
-
-  // A cold run only prunes when the built sets are complete (incomplete
-  // matching rejects first), so the recorded prune cost mirrors that.
-  if (ctx.complete_) {
-    CostMeter prune_meter;
-    ctx.pruned_sets_ = ctx.built_sets_;
-    ctx.prune_ok_ = ctx.pruned_sets_.prune(prune_meter);
-    ctx.prune_cost_ = prune_meter.accesses();
-  }
+  ctx.complete_ = ctx.sets_.complete();
 
   // Distribution of candidate-set sizes and window widths across upstream
   // packets, plus the pruning yield — sampled at every kStride-th packet,
@@ -68,22 +59,34 @@ MatchContext MatchContext::build(const Flow& upstream, const Flow& downstream,
   // pass is a few hundred iterations, not O(packets): a deterministic
   // stride keeps the distribution shape, and the pruning yield compares
   // built vs pruned sizes over the same sample, which also keeps every
-  // recorded value schedule-independent.
+  // recorded value schedule-independent.  The built sizes are sampled
+  // here, before pruning narrows the sets in place.
   constexpr std::size_t kStride = 8;
   metrics::HistogramData set_sizes;
   metrics::HistogramData window_widths;
   std::uint64_t sampled_built = 0;
-  std::uint64_t sampled_pruned = 0;
-  for (std::size_t i = 0; i < ctx.built_sets_.upstream_size();
-       i += kStride) {
-    const std::uint64_t size = ctx.built_sets_.set(i).size();
+  for (std::size_t i = 0; i < ctx.sets_.upstream_size(); i += kStride) {
+    const std::uint64_t size = ctx.sets_.set(i).size();
     set_sizes.record(size);
     sampled_built += size;
-    if (ctx.complete_) sampled_pruned += ctx.pruned_sets_.set(i).size();
   }
   for (std::size_t i = 0; i < ctx.windows_.size(); i += kStride) {
     window_widths.record(ctx.windows_[i].size());
   }
+
+  // The reference decoders only prune when the built sets are complete
+  // (incomplete matching rejects first), so the recorded prune cost
+  // mirrors that.
+  std::uint64_t sampled_pruned = 0;
+  if (ctx.complete_) {
+    CostMeter prune_meter;
+    ctx.prune_ok_ = ctx.sets_.prune(prune_meter);
+    ctx.prune_cost_ = prune_meter.accesses();
+    for (std::size_t i = 0; i < ctx.sets_.upstream_size(); i += kStride) {
+      sampled_pruned += ctx.sets_.set(i).size();
+    }
+  }
+
   static metrics::Histogram& candidate_set_size =
       metrics::histogram("match.candidate_set_size");
   static metrics::Histogram& window_width =

@@ -1,34 +1,35 @@
 // The shared, watermark-independent match context.
 //
-// Every matching-based decoder (Greedy+, Greedy*, Brute Force, the robust
-// variant) starts from the same watermark-independent step: scan the
-// matching windows under the [0, Delta] delay constraint (paper §3.2),
-// materialise per-upstream-packet candidate sets (optionally size-filtered),
-// and prune candidates that appear in no complete order-preserving
-// assignment.  Greedy needs only the windows of its embedding packets; the
-// batched engine reads them from here too.  The evaluation pipeline runs
-// three or more decoders over the same (upstream, downstream) pair, so
-// rebuilding that artifact per decoder pays the dominant matching cost
-// several times over.
+// Every matching-based decoder (Greedy+, Greedy*, Brute Force) starts from
+// the same watermark-independent step: scan the matching windows under the
+// [0, Delta] delay constraint (paper §3.2), materialise per-upstream-packet
+// candidate sets (optionally size-filtered), and prune candidates that
+// appear in no complete order-preserving assignment.  Greedy needs only
+// the windows of its embedding packets.  The evaluation pipeline runs
+// three or more decoders over the same (upstream, downstream) pair, and a
+// defender may decode many key hypotheses against one pair, so rebuilding
+// that artifact per decode pays the dominant matching cost several times
+// over.
 //
-// MatchContext computes the artifact once and shares it: it is immutable
-// after build() and holds
+// MatchContext computes the artifact once for its one consumer, the
+// batched decode engine (batch::BatchDecoder, behind Correlator::correlate).
+// It is immutable after build() and holds
 //
 //   * zero-copy timestamp views into both flows,
 //   * the scan_match_windows output,
 //   * the upstream packets' pre-quantized sizes (size-constraint runs),
-//   * the built candidate sets and, when they are complete, a pruned copy,
+//   * one set of candidate sets, pruned in place when they are complete,
 //   * the *recorded access-trace counts* of the build and prune phases.
 //
 // The recorded counts are the heart of the cost-replay invariant (see
-// DESIGN.md "Match-context sharing and the cost-replay invariant"): an
-// algorithm consuming the context charges its own CostMeter exactly the
-// recorded counts, so the paper's reported packet-access metric is
-// byte-identical whether the matching phase ran cold or was replayed from
-// the cache.  Greedy replays no recorded count: its cold cost is two
-// binary searches per embedding packet, and it is charged their probe
-// count (lower_bound_probes) from each window's bounds.  The parity tests
-// pin this down for every algorithm.
+// DESIGN.md "Match-context sharing and the cost-replay invariant"): a
+// decode over the context charges its own CostMeter exactly the recorded
+// counts, so the paper's reported packet-access metric is byte-identical
+// to the scalar reference run_* decoders, which always run the matching
+// phase themselves.  Greedy replays no recorded count: its reference cost
+// is two binary searches per embedding packet, and it is charged their
+// probe count (lower_bound_probes) from each window's bounds.  The parity
+// tests pin this down for every algorithm.
 //
 // Lifetime: the context stores views into the two flows, which must outlive
 // it.  A context is keyed by (upstream, downstream, Delta, size constraint);
@@ -78,8 +79,6 @@ class MatchContext {
            key_ == MatchContextKey{max_delay, size};
   }
 
-  const Flow& upstream() const { return *upstream_; }
-  const Flow& downstream() const { return *downstream_; }
   const MatchContextKey& key() const { return key_; }
 
   std::span<const TimeUs> upstream_ts() const {
@@ -110,15 +109,14 @@ class MatchContext {
     return down_quantized_;
   }
 
-  /// Candidate sets after build, before pruning (what Brute Force with
-  /// pruning disabled and the robust gap-aware pruning start from).
-  const CandidateSets& built_sets() const { return built_sets_; }
-
-  /// True when every upstream packet has at least one candidate.
+  /// True when every upstream packet had at least one candidate after the
+  /// build.
   bool complete() const { return complete_; }
 
-  /// Strictly pruned copy of the built sets.  Valid only when prune_ok().
-  const CandidateSets& pruned_sets() const { return pruned_sets_; }
+  /// The candidate sets, strictly pruned in place.  Valid only when
+  /// prune_ok(): otherwise they are unpruned (incomplete build) or
+  /// partially pruned (pruning failed).
+  const CandidateSets& pruned_sets() const { return sets_; }
 
   /// True when the built sets were complete and pruning kept them complete
   /// (i.e. some complete order-preserving assignment exists).
@@ -140,8 +138,7 @@ class MatchContext {
   std::vector<MatchWindow> windows_;
   std::vector<std::uint32_t> up_quantized_;
   std::vector<std::uint32_t> down_quantized_;
-  CandidateSets built_sets_;
-  CandidateSets pruned_sets_;
+  CandidateSets sets_;
   bool complete_ = false;
   bool prune_ok_ = false;
   std::uint64_t build_cost_ = 0;

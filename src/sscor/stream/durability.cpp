@@ -81,17 +81,10 @@ std::string encode_flow(const EngineSnapshot::Flow& flow) {
   std::string out = "{\"tuple\":";
   append_tuple(out, flow.entry.tuple);
   out += ",\"first_seen_seq\":" + u64(flow.entry.first_seen_seq);
-  out += ",\"first_seen\":" + i64(flow.entry.first_seen);
   out += ",\"last_seen\":" + i64(flow.entry.last_seen);
   out += ",\"packets\":" + u64(flow.entry.packets);
   out += ",\"tombstone\":" + boolean(flow.entry.tombstone);
-  out += ",\"ring_pushed\":" + u64(flow.entry.ring_pushed);
-  out += ",\"ring\":[";
-  for (std::size_t i = 0; i < flow.entry.ring.size(); ++i) {
-    if (i != 0) out += ",";
-    out += i64(flow.entry.ring[i]);
-  }
-  out += "],\"buffered\":[";
+  out += ",\"buffered\":[";
   for (std::size_t i = 0; i < flow.buffered.size(); ++i) {
     if (i != 0) out += ",";
     append_packet(out, flow.buffered[i]);
@@ -106,17 +99,15 @@ std::string encode_flow(const EngineSnapshot::Flow& flow) {
 }
 
 EngineSnapshot::Flow decode_flow(const json::Value& v) {
+  // Keys are read by name, so older version-1 snapshots still restore: the
+  // extra per-flow keys they carry (first_seen, ring_pushed, ring) are
+  // ignored.
   EngineSnapshot::Flow flow;
   flow.entry.tuple = decode_tuple(v.at("tuple"));
   flow.entry.first_seen_seq = v.at("first_seen_seq").as_uint();
-  flow.entry.first_seen = v.at("first_seen").as_int();
   flow.entry.last_seen = v.at("last_seen").as_int();
   flow.entry.packets = v.at("packets").as_uint();
   flow.entry.tombstone = v.at("tombstone").as_bool();
-  flow.entry.ring_pushed = v.at("ring_pushed").as_uint();
-  for (const json::Value& t : v.at("ring").as_array()) {
-    flow.entry.ring.push_back(t.as_int());
-  }
   for (const json::Value& p : v.at("buffered").as_array()) {
     const auto& fields = p.as_array();
     require(fields.size() == 3, "snapshot packet must have 3 fields");

@@ -1,51 +1,9 @@
 #include "sscor/stream/flow_table.hpp"
 
-#include <algorithm>
-
 #include "sscor/util/error.hpp"
 #include "sscor/util/event_log.hpp"
 
 namespace sscor::stream {
-
-TimestampRing::TimestampRing(std::size_t capacity) : buffer_(capacity) {
-  require(capacity >= 1, "ring capacity must be positive");
-}
-
-void TimestampRing::push(TimeUs t) {
-  buffer_[pushed_ % buffer_.size()] = t;
-  ++pushed_;
-}
-
-void TimestampRing::restore(std::uint64_t pushed,
-                            const std::vector<TimeUs>& held) {
-  const auto expected = static_cast<std::size_t>(
-      std::min<std::uint64_t>(pushed, buffer_.size()));
-  require(held.size() == expected,
-          "ring restore size does not match its push count");
-  pushed_ = pushed;
-  const std::uint64_t oldest =
-      pushed_ > buffer_.size() ? pushed_ % buffer_.size() : 0;
-  for (std::size_t i = 0; i < held.size(); ++i) {
-    buffer_[(oldest + i) % buffer_.size()] = held[i];
-  }
-}
-
-std::size_t TimestampRing::size() const {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(pushed_, buffer_.size()));
-}
-
-TimeUs TimestampRing::at(std::size_t i) const {
-  require(i < size(), "ring index out of range");
-  const std::uint64_t oldest =
-      pushed_ > buffer_.size() ? pushed_ % buffer_.size() : 0;
-  return buffer_[(oldest + i) % buffer_.size()];
-}
-
-TimeUs TimestampRing::newest() const {
-  require(size() > 0, "newest of an empty ring");
-  return buffer_[(pushed_ - 1) % buffer_.size()];
-}
 
 const char* to_string(EvictionCause cause) {
   switch (cause) {
@@ -61,7 +19,6 @@ const char* to_string(EvictionCause cause) {
 
 FlowTable::FlowTable(FlowTableConfig config) : config_(config) {
   require(config.shards >= 1, "shard count must be positive");
-  require(config.ring_capacity >= 1, "ring capacity must be positive");
   require(config.max_flows == 0 || config.max_flows >= config.shards,
           "max_flows must be >= the shard count (it is split per shard)");
   require(config.max_buffered_packets == 0 ||
@@ -113,11 +70,10 @@ FlowEntry* FlowTable::touch(std::size_t shard, const net::FiveTuple& tuple,
         evict(s, s.lru.front(), EvictionCause::kFlowCount, evicted);
       }
     }
-    auto owned = std::make_unique<FlowEntry>(config_.ring_capacity);
+    auto owned = std::make_unique<FlowEntry>();
     entry = owned.get();
     entry->tuple = tuple;
     entry->first_seen_seq = seq;
-    entry->first_seen = packet.timestamp;
     s.flows.emplace(tuple, std::move(owned));
     entry->lru_ = s.lru.insert(s.lru.end(), entry);
   } else {
@@ -130,7 +86,6 @@ FlowEntry* FlowTable::touch(std::size_t shard, const net::FiveTuple& tuple,
   }
   entry->last_seen = packet.timestamp;
   ++entry->packets;
-  entry->ring.push(packet.timestamp);
   return entry;
 }
 
@@ -167,15 +122,13 @@ FlowEntry* FlowTable::restore_entry(std::size_t shard,
   Shard& s = shards_[shard];
   require(s.flows.find(record.tuple) == s.flows.end(),
           "restore of an already-live flow: " + record.tuple.to_string());
-  auto owned = std::make_unique<FlowEntry>(config_.ring_capacity);
+  auto owned = std::make_unique<FlowEntry>();
   FlowEntry* entry = owned.get();
   entry->tuple = record.tuple;
   entry->first_seen_seq = record.first_seen_seq;
-  entry->first_seen = record.first_seen;
   entry->last_seen = record.last_seen;
   entry->packets = record.packets;
   entry->tombstone = record.tombstone;
-  entry->ring.restore(record.ring_pushed, record.ring);
   s.flows.emplace(record.tuple, std::move(owned));
   entry->lru_ = s.lru.insert(s.lru.end(), entry);
   return entry;

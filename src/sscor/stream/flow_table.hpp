@@ -42,36 +42,6 @@
 
 namespace sscor::stream {
 
-/// Fixed-capacity ring of the newest timestamps of one flow.  The flow
-/// table keeps per-flow recent arrival times for TTL decisions and
-/// diagnostics without growing with the flow.
-class TimestampRing {
- public:
-  explicit TimestampRing(std::size_t capacity);
-
-  void push(TimeUs t);
-
-  /// Rebuilds the ring exactly as recorded by a snapshot: `held` are the
-  /// retained timestamps oldest-first (size() afterwards) and `pushed` the
-  /// lifetime push count (so dropped() survives the round trip).
-  void restore(std::uint64_t pushed, const std::vector<TimeUs>& held);
-
-  std::size_t capacity() const { return buffer_.size(); }
-  /// Timestamps currently held (min(pushed, capacity)).
-  std::size_t size() const;
-  /// Total timestamps ever pushed.
-  std::uint64_t pushed() const { return pushed_; }
-  /// Timestamps overwritten by capacity overflow.
-  std::uint64_t dropped() const { return pushed_ - size(); }
-  /// i-th held timestamp, oldest first (0 <= i < size()).
-  TimeUs at(std::size_t i) const;
-  TimeUs newest() const;
-
- private:
-  std::vector<TimeUs> buffer_;
-  std::uint64_t pushed_ = 0;
-};
-
 /// Engine-owned payload attached to a flow entry (the engine derives its
 /// per-flow decode state from this).  Moved out to the caller on eviction.
 class FlowUserState {
@@ -94,17 +64,13 @@ struct FlowEntry {
   /// Global ingest sequence number of the packet that created the entry —
   /// a deterministic flow-instance id, identical across shard counts.
   std::uint64_t first_seen_seq = 0;
-  TimeUs first_seen = 0;
   TimeUs last_seen = 0;
   /// Packets routed to this flow (including ones absorbed by a tombstone).
   std::uint64_t packets = 0;
   /// Buffered packets charged against the memory cap.
   std::uint64_t buffered = 0;
   bool tombstone = false;
-  TimestampRing ring;
   std::unique_ptr<FlowUserState> state;
-
-  explicit FlowEntry(std::size_t ring_capacity) : ring(ring_capacity) {}
 
  private:
   friend class FlowTable;
@@ -128,13 +94,9 @@ struct EvictedFlow {
 struct FlowRestore {
   net::FiveTuple tuple;
   std::uint64_t first_seen_seq = 0;
-  TimeUs first_seen = 0;
   TimeUs last_seen = 0;
   std::uint64_t packets = 0;
   bool tombstone = false;
-  std::uint64_t ring_pushed = 0;
-  /// Retained ring timestamps, oldest first.
-  std::vector<TimeUs> ring;
 };
 
 struct FlowTableConfig {
@@ -148,8 +110,6 @@ struct FlowTableConfig {
   /// Evict flows idle longer than this (event time); 0 = no TTL.  Must
   /// not be negative.
   DurationUs idle_ttl = 0;
-  /// Per-flow timestamp ring capacity.
-  std::size_t ring_capacity = 8;
 };
 
 class FlowTable {

@@ -25,6 +25,9 @@ std::int64_t steady_now_us() {
 /// overload episode (one kWarn event per episode, not per eviction).
 constexpr std::int64_t kPressureEpisodeUs = 5'000'000;
 
+/// Hottest flows reported in EngineStatus.
+constexpr std::size_t kStatusTopK = 10;
+
 metrics::Counter& eviction_counter(EvictionCause cause) {
   return metrics::counter(std::string("stream.flows.evicted.") +
                           to_string(cause));
@@ -203,15 +206,9 @@ EngineSnapshot StreamEngine::snapshot() {
       EngineSnapshot::Flow flow;
       flow.entry.tuple = entry.tuple;
       flow.entry.first_seen_seq = entry.first_seen_seq;
-      flow.entry.first_seen = entry.first_seen;
       flow.entry.last_seen = entry.last_seen;
       flow.entry.packets = entry.packets;
       flow.entry.tombstone = entry.tombstone;
-      flow.entry.ring_pushed = entry.ring.pushed();
-      flow.entry.ring.reserve(entry.ring.size());
-      for (std::size_t j = 0; j < entry.ring.size(); ++j) {
-        flow.entry.ring.push_back(entry.ring.at(j));
-      }
       const auto* state = static_cast<const FlowState*>(entry.state.get());
       if (state != nullptr) {
         flow.held = state->held;
@@ -321,9 +318,7 @@ void StreamEngine::publish_status() {
   // The hottest-flow ranking walks every live entry, so throttle it to the
   // telemetry timescale; flushes can be far more frequent than scrapes.
   const std::int64_t now_us = steady_now_us();
-  if (options_.status_top_k > 0 &&
-      (finished_ || last_topk_us_ < 0 ||
-       now_us - last_topk_us_ >= 250'000)) {
+  if (finished_ || last_topk_us_ < 0 || now_us - last_topk_us_ >= 250'000) {
     last_topk_us_ = now_us;
     std::vector<EngineStatus::HotFlow> hot;
     for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -336,7 +331,7 @@ void StreamEngine::publish_status() {
         hot.push_back(std::move(flow));
       });
     }
-    const std::size_t keep = std::min(options_.status_top_k, hot.size());
+    const std::size_t keep = std::min(kStatusTopK, hot.size());
     std::partial_sort(hot.begin(), hot.begin() + static_cast<std::ptrdiff_t>(keep),
                       hot.end(),
                       [](const EngineStatus::HotFlow& a,
@@ -535,9 +530,10 @@ void StreamEngine::handle_evictions(std::size_t shard,
 }
 
 void StreamEngine::finalize_shard(std::size_t shard) {
-  const ResilientCorrelator resilient(config_, options_.algorithm,
-                                      options_.admission);
-  const Correlator offline(config_, options_.algorithm);
+  // With admission control disabled the ladder is one budget-free attempt,
+  // byte-identical to Correlator::correlate.
+  const ResilientCorrelator correlator(config_, options_.algorithm,
+                                       options_.admission);
   table_.for_each(shard, [&](FlowEntry& entry) {
     auto* state = static_cast<FlowState*>(entry.state.get());
     if (state == nullptr) return;
@@ -575,10 +571,7 @@ void StreamEngine::finalize_shard(std::size_t shard) {
             entry.tuple.to_string() + "#" +
             std::to_string(entry.first_seen_seq) + " up" + std::to_string(i));
         const WatermarkedFlow& upstream = upstreams_[i]->watermarked();
-        verdict.result =
-            options_.admission.enabled()
-                ? resilient.correlate(upstream, downstream)
-                : offline.correlate(upstream, downstream);
+        verdict.result = correlator.correlate(upstream, downstream);
         verdict.early = false;
         verdict.kind = verdict.result.degraded ? VerdictKind::kDegraded
                        : verdict.result.correlated ? VerdictKind::kPositive

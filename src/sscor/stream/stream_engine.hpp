@@ -113,6 +113,7 @@ struct EngineStatus {
   /// monotonic stamp, so /healthz sees pressure end even if no flush runs.
   double seconds_since_pressure = -1.0;
   std::vector<Shard> shards;
+  /// At most ten flows, most buffered packets first.
   std::vector<HotFlow> hottest;
 };
 
@@ -167,8 +168,6 @@ struct StreamOptions {
   /// resilient ladder: when enabled, a pair exceeding its budget degrades
   /// tier by tier instead of stalling the engine (verdict kind kDegraded).
   ResilientOptions admission;
-  /// Hottest flows reported in EngineStatus (0 disables the ranking walk).
-  std::size_t status_top_k = 10;
 };
 
 class StreamEngine {

@@ -19,9 +19,8 @@ std::int64_t steady_now_us() {
 
 }  // namespace
 
-StreamTelemetry::StreamTelemetry(StreamEngine& engine,
-                                 TelemetryOptions options)
-    : engine_(engine), options_(options), start_us_(steady_now_us()) {}
+StreamTelemetry::StreamTelemetry(StreamEngine& engine)
+    : engine_(engine), start_us_(steady_now_us()) {}
 
 void StreamTelemetry::start(const std::string& host, std::uint16_t port) {
   server_.handle("/metrics", [this](const net::HttpRequest&) {
@@ -60,7 +59,7 @@ std::string StreamTelemetry::metrics_text() {
 
 bool StreamTelemetry::overloaded() const {
   const double age = engine_.status().seconds_since_pressure;
-  return age >= 0.0 && age < options_.overload_window_s;
+  return age >= 0.0 && age < kOverloadWindowS;
 }
 
 double StreamTelemetry::uptime_seconds() const {
@@ -70,7 +69,7 @@ double StreamTelemetry::uptime_seconds() const {
 std::string StreamTelemetry::healthz_json() const {
   const EngineStatus status = engine_.status();
   const bool over = status.seconds_since_pressure >= 0.0 &&
-                    status.seconds_since_pressure < options_.overload_window_s;
+                    status.seconds_since_pressure < kOverloadWindowS;
   const bool drain = draining();
   std::string out = "{\"status\": ";
   // Draining outranks overloaded: a load balancer must stop routing to a
@@ -84,7 +83,7 @@ std::string StreamTelemetry::healthz_json() const {
   out += ", \"seconds_since_pressure\": " +
          json::number(status.seconds_since_pressure, 3);
   out += ", \"overload_window_s\": " +
-         json::number(options_.overload_window_s, 3);
+         json::number(kOverloadWindowS, 3);
 
   // The load-shed policy in force: the table bounds that cut work off
   // under pressure.  Static config, surfaced so an operator reading

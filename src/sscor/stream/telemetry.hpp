@@ -36,15 +36,13 @@
 
 namespace sscor::stream {
 
-struct TelemetryOptions {
-  /// /healthz reports "overloaded" while the last pressure eviction is
-  /// younger than this many seconds.
-  double overload_window_s = 5.0;
-};
-
 class StreamTelemetry {
  public:
-  explicit StreamTelemetry(StreamEngine& engine, TelemetryOptions options = {});
+  /// /healthz reports "overloaded" while the last pressure eviction is
+  /// younger than this many seconds.
+  static constexpr double kOverloadWindowS = 5.0;
+
+  explicit StreamTelemetry(StreamEngine& engine);
 
   StreamTelemetry(const StreamTelemetry&) = delete;
   StreamTelemetry& operator=(const StreamTelemetry&) = delete;
@@ -89,7 +87,6 @@ class StreamTelemetry {
   double uptime_seconds() const;
 
   StreamEngine& engine_;
-  TelemetryOptions options_;
   net::StatsServer server_;
   std::int64_t start_us_ = 0;  ///< steady-clock birth of this surface
   mutable std::mutex scrape_mutex_;  ///< serialises the DeltaTracker

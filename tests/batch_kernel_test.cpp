@@ -1,22 +1,29 @@
-// Parity tests for the batched SoA decode kernel (batch::BatchDecoder).
+// Parity tests for production decoding (batch::BatchDecoder over a shared
+// MatchContext, and Correlator::correlate on top of it).
 //
-// The load-bearing property: for every algorithm, a BatchDecoder decode over
-// a shared MatchContext returns a CorrelationResult identical *in every
-// field, including the paper's cost metric and the interruption fields* to
-// the scalar run_* reference with the same context (and therefore, by the
-// match-context parity suite, to a cold scalar run).  The batched engine is
-// pure plumbing: SoA layout and kernel dispatch must never change a number.
+// The load-bearing property: for every algorithm, a decode over the pair's
+// context returns a CorrelationResult identical *in every field, including
+// the paper's cost metric and the interruption fields* to the cold scalar
+// run_* reference, which runs its own matching phase and shares no state
+// with the context.  The fig07-fig10 cost CSVs therefore cannot drift with
+// context sharing, and SoA layout and kernel dispatch must never change a
+// number.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "sscor/correlation/brute_force.hpp"
+#include "sscor/correlation/correlator.hpp"
 #include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/greedy.hpp"
 #include "sscor/correlation/greedy_plus.hpp"
 #include "sscor/correlation/greedy_star.hpp"
+#include "sscor/flow/flow_extractor.hpp"
+#include "sscor/flow/pcap_synth.hpp"
 #include "sscor/matching/batch_kernel.hpp"
 #include "sscor/matching/batch_kernels.hpp"
 #include "sscor/matching/match_context.hpp"
@@ -25,7 +32,6 @@
 #include "sscor/traffic/loss_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
 #include "sscor/traffic/size_model.hpp"
-#include "sscor/correlation/correlator.hpp"
 #include "sscor/util/error.hpp"
 #include "sscor/util/rng.hpp"
 #include "sscor/watermark/embedder.hpp"
@@ -33,52 +39,71 @@
 namespace sscor {
 namespace {
 
-/// Stricter than the match-context suite: the batched port must also agree
-/// on the interruption fields, not just the headline decode.
-void expect_same_result(const CorrelationResult& scalar,
-                        const CorrelationResult& batched) {
-  EXPECT_EQ(scalar.algorithm, batched.algorithm);
-  EXPECT_EQ(scalar.correlated, batched.correlated);
-  EXPECT_EQ(scalar.hamming, batched.hamming);
-  EXPECT_EQ(scalar.best_watermark, batched.best_watermark);
-  EXPECT_EQ(scalar.cost, batched.cost) << "cost-replay invariant violated";
-  EXPECT_EQ(scalar.matching_complete, batched.matching_complete);
-  EXPECT_EQ(scalar.cost_bound_hit, batched.cost_bound_hit);
-  EXPECT_EQ(scalar.interrupted, batched.interrupted);
-  EXPECT_EQ(scalar.stop_reason, batched.stop_reason);
-  EXPECT_EQ(scalar.degraded, batched.degraded);
+constexpr Algorithm kAlgorithms[] = {Algorithm::kGreedy,
+                                     Algorithm::kGreedyPlus,
+                                     Algorithm::kGreedyStar,
+                                     Algorithm::kBruteForce};
+
+void expect_same_result(const CorrelationResult& reference,
+                        const CorrelationResult& production) {
+  EXPECT_EQ(reference.algorithm, production.algorithm);
+  EXPECT_EQ(reference.correlated, production.correlated);
+  EXPECT_EQ(reference.hamming, production.hamming);
+  EXPECT_EQ(reference.best_watermark, production.best_watermark);
+  EXPECT_EQ(reference.cost, production.cost)
+      << "cost-replay invariant violated";
+  EXPECT_EQ(reference.matching_complete, production.matching_complete);
+  EXPECT_EQ(reference.cost_bound_hit, production.cost_bound_hit);
+  EXPECT_EQ(reference.interrupted, production.interrupted);
+  EXPECT_EQ(reference.stop_reason, production.stop_reason);
+  EXPECT_EQ(reference.degraded, production.degraded);
 }
 
-/// Runs every algorithm through both engines over one shared context.
-/// Brute force is opt-in (exponential on larger instances).
-void check_batch_parity(const WatermarkedFlow& marked, const Flow& downstream,
-                        const CorrelatorConfig& config,
-                        bool include_brute = true) {
+/// The cold scalar reference run of `algorithm`: the matching phase runs
+/// inline.
+CorrelationResult cold_scalar_run(Algorithm algorithm,
+                                  const KeySchedule& schedule,
+                                  const Watermark& target,
+                                  const Flow& upstream,
+                                  const Flow& downstream,
+                                  const CorrelatorConfig& config) {
+  switch (algorithm) {
+    case Algorithm::kBruteForce:
+      return run_brute_force(schedule, target, upstream, downstream, config);
+    case Algorithm::kGreedy:
+      return run_greedy(DecodePlan(schedule, target), upstream, downstream,
+                        config);
+    case Algorithm::kGreedyPlus:
+      return run_greedy_plus(schedule, target, upstream, downstream, config);
+    case Algorithm::kGreedyStar:
+      return run_greedy_star(schedule, target, upstream, downstream, config);
+  }
+  throw InternalError("unhandled algorithm");
+}
+
+CorrelationResult cold_scalar_run(Algorithm algorithm,
+                                  const WatermarkedFlow& marked,
+                                  const Flow& downstream,
+                                  const CorrelatorConfig& config) {
+  return cold_scalar_run(algorithm, marked.schedule, marked.watermark,
+                         marked.flow, downstream, config);
+}
+
+/// Decodes every algorithm over one shared context and checks it against
+/// the cold reference.  Brute force is opt-in (exponential on larger
+/// instances).
+void check_parity(const WatermarkedFlow& marked, const Flow& downstream,
+                  const CorrelatorConfig& config, bool include_brute = true) {
   const MatchContext context =
       MatchContext::build(marked.flow, downstream, config.max_delay,
                           config.size_constraint);
   batch::BatchDecoder decoder(config);
   const batch::DecodeHypothesis hyp{&marked.schedule, &marked.watermark};
-
-  expect_same_result(
-      run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context),
-      decoder.decode_one(Algorithm::kGreedyPlus, context, hyp));
-  expect_same_result(
-      run_greedy_star(marked.schedule, marked.watermark, marked.flow,
-                      downstream, config, &context),
-      decoder.decode_one(Algorithm::kGreedyStar, context, hyp));
-  {
-    const DecodePlan plan(marked.schedule, marked.watermark);
-    expect_same_result(
-        run_greedy(plan, marked.flow, downstream, config, &context),
-        decoder.decode_one(Algorithm::kGreedy, context, hyp));
-  }
-  if (include_brute) {
-    expect_same_result(
-        run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                        downstream, config, {}, &context),
-        decoder.decode_one(Algorithm::kBruteForce, context, hyp));
+  for (const Algorithm algorithm : kAlgorithms) {
+    if (algorithm == Algorithm::kBruteForce && !include_brute) continue;
+    SCOPED_TRACE(to_string(algorithm));
+    expect_same_result(cold_scalar_run(algorithm, marked, downstream, config),
+                       decoder.decode_one(algorithm, context, hyp));
   }
 }
 
@@ -110,6 +135,22 @@ SmallInstance make_small_instance(std::uint64_t seed, double chaff_rate,
   return instance;
 }
 
+/// A paper-scale pair over the tcplib-style generator: 400 packets, a
+/// 24-bit watermark, Delta = 7 s and 5 pkt/s of chaff.
+SmallInstance make_tcplib_instance(std::uint64_t seed) {
+  const traffic::TcplibTelnetModel model;
+  const Flow flow = model.generate(400, 0, seed);
+  Rng rng(seed + 1);
+  const Embedder embedder(WatermarkParams{}, seed + 2);
+  SmallInstance instance{embedder.embed(flow, Watermark::random(24, rng)),
+                         Flow{}};
+  const traffic::UniformPerturber perturber(seconds(std::int64_t{7}),
+                                            seed + 3);
+  const traffic::PoissonChaffInjector chaff(5.0, seed + 4);
+  instance.downstream = chaff.apply(perturber.apply(instance.marked.flow));
+  return instance;
+}
+
 CorrelatorConfig small_config() {
   CorrelatorConfig config;
   config.max_delay = seconds(std::int64_t{1});
@@ -118,63 +159,162 @@ CorrelatorConfig small_config() {
   return config;
 }
 
-TEST(BatchKernelParity, AllAlgorithmsOnSmallInstances) {
-  for (const std::uint64_t seed : {110u, 111u, 112u, 113u, 114u, 115u}) {
+/// Parity on the small instance of each seed.
+void check_small_seeds(std::initializer_list<std::uint64_t> seeds,
+                       double chaff_rate, const CorrelatorConfig& config) {
+  for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE(seed);
     const auto instance =
-        make_small_instance(seed, 0.5, seconds(std::int64_t{1}));
-    check_batch_parity(instance.marked, instance.downstream, small_config());
+        make_small_instance(seed, chaff_rate, seconds(std::int64_t{1}));
+    check_parity(instance.marked, instance.downstream, config);
   }
+}
+
+CorrelatorConfig sized_config() {
+  auto config = small_config();
+  config.size_constraint = SizeConstraint{16};
+  return config;
+}
+
+/// A bound small enough that the replayed matching cost alone exhausts the
+/// meter; bound-hit and interruption reporting must stay identical.
+CorrelatorConfig tight_bound_config() {
+  auto config = small_config();
+  config.cost_bound = 50;
+  return config;
+}
+
+/// Upstream of one instance against the downstream of another: the
+/// incomplete-matching reject path must replay with identical cost too.
+void check_uncorrelated_pair(std::uint64_t seed) {
+  const auto a = make_small_instance(seed, 1.0, seconds(std::int64_t{1}));
+  const auto b = make_small_instance(seed + 1, 1.0, seconds(std::int64_t{1}));
+  check_parity(a.marked, b.downstream, small_config());
+}
+
+/// Paper-scale parameters (brute force excluded: exponential).
+void check_tcplib_pair(std::uint64_t seed) {
+  const auto instance = make_tcplib_instance(seed);
+  CorrelatorConfig config;  // defaults: Delta=7s, h=7, bound=10^6
+  check_parity(instance.marked, instance.downstream, config,
+               /*include_brute=*/false);
+}
+
+/// The matching phase is watermark-independent: one context serves every
+/// (schedule, watermark) hypothesis a defender scans over the same pair,
+/// and each decode over it must equal the cold reference, matches or not.
+void check_key_scan(std::uint64_t seed, std::uint64_t first_key,
+                    std::uint64_t keys) {
+  const auto instance =
+      make_small_instance(seed, 0.5, seconds(std::int64_t{1}));
+  const auto config = small_config();
+  const MatchContext context =
+      MatchContext::build(instance.marked.flow, instance.downstream,
+                          config.max_delay, config.size_constraint);
+  batch::BatchDecoder decoder(config);
+  Rng rng(seed + 1);
+  for (std::uint64_t key = first_key; key < first_key + keys; ++key) {
+    SCOPED_TRACE(key);
+    const auto schedule = KeySchedule::create(
+        small_params(), instance.marked.flow.size(), key);
+    const Watermark target = Watermark::random(small_params().bits, rng);
+    const batch::DecodeHypothesis hyp{&schedule, &target};
+    for (const Algorithm algorithm : kAlgorithms) {
+      SCOPED_TRACE(to_string(algorithm));
+      expect_same_result(
+          cold_scalar_run(algorithm, schedule, target, instance.marked.flow,
+                          instance.downstream, config),
+          decoder.decode_one(algorithm, context, hyp));
+    }
+  }
+}
+
+// MatchContextParity, MatchContextReuse and BatchKernelParity check one
+// property, production over a context against the cold reference; each test
+// keeps the name and the inputs it has always had.
+
+TEST(MatchContextParity, AllAlgorithmsOnSmallInstances) {
+  check_small_seeds({10, 11, 12, 13, 14, 15}, 0.5, small_config());
+}
+
+TEST(MatchContextParity, UncorrelatedPairsRejectIdentically) {
+  check_uncorrelated_pair(21);
+}
+
+TEST(MatchContextParity, SizeConstraint) {
+  check_small_seeds({31, 32, 33}, 0.5, sized_config());
+}
+
+TEST(MatchContextParity, TightCostBound) {
+  check_small_seeds({41}, 2.0, tight_bound_config());
+}
+
+TEST(MatchContextParity, TcplibFlows) { check_tcplib_pair(71); }
+
+TEST(MatchContextParity, RecordedTraceRoundTrip) {
+  // "Recorded" fixture: synthesize the pair into a pcap capture, extract
+  // the flows back (keeping zero-payload packets so nothing is dropped),
+  // and run parity on the extracted flows — timestamps that survived the
+  // usec-resolution pcap round trip.
+  const auto instance = make_small_instance(51, 1.0, seconds(std::int64_t{1}));
+  const net::FiveTuple up_tuple{net::Ipv4Address::parse("10.1.0.1"),
+                                net::Ipv4Address::parse("10.2.0.1"), 40001,
+                                22, net::IpProtocol::kTcp};
+  const net::FiveTuple down_tuple{net::Ipv4Address::parse("10.2.0.1"),
+                                  net::Ipv4Address::parse("10.3.0.1"), 40002,
+                                  22, net::IpProtocol::kTcp};
+  const auto records =
+      synthesize_capture({SynthesisInput{up_tuple, &instance.marked.flow},
+                          SynthesisInput{down_tuple, &instance.downstream}});
+  ExtractorOptions options;
+  options.payload_only = false;
+  const auto flows =
+      extract_flows(records, pcap::LinkType::kRawIp, options);
+  ASSERT_EQ(flows.size(), 2u);
+  const Flow& up = flows[0].tuple == up_tuple ? flows[0].flow : flows[1].flow;
+  const Flow& down =
+      flows[0].tuple == up_tuple ? flows[1].flow : flows[0].flow;
+  ASSERT_EQ(up.size(), instance.marked.flow.size());
+  ASSERT_EQ(down.size(), instance.downstream.size());
+
+  const WatermarkedFlow extracted{up, instance.marked.schedule,
+                                  instance.marked.watermark};
+  check_parity(extracted, down, small_config());
+}
+
+TEST(MatchContextReuse, AcrossWatermarkHypotheses) {
+  check_key_scan(61, 900, 4);
+}
+
+TEST(BatchKernelParity, AllAlgorithmsOnSmallInstances) {
+  check_small_seeds({110, 111, 112, 113, 114, 115}, 0.5, small_config());
 }
 
 TEST(BatchKernelParity, HeavyChaff) {
-  for (const std::uint64_t seed : {120u, 121u, 122u}) {
-    SCOPED_TRACE(seed);
-    const auto instance =
-        make_small_instance(seed, 3.0, seconds(std::int64_t{1}));
-    check_batch_parity(instance.marked, instance.downstream, small_config());
-  }
+  check_small_seeds({120, 121, 122}, 3.0, small_config());
 }
 
 TEST(BatchKernelParity, SizeConstraint) {
-  for (const std::uint64_t seed : {131u, 132u, 133u}) {
-    SCOPED_TRACE(seed);
-    const auto instance =
-        make_small_instance(seed, 0.5, seconds(std::int64_t{1}));
-    auto config = small_config();
-    config.size_constraint = SizeConstraint{16};
-    check_batch_parity(instance.marked, instance.downstream, config);
-  }
+  check_small_seeds({131, 132, 133}, 0.5, sized_config());
 }
 
 TEST(BatchKernelParity, UncorrelatedPairsRejectIdentically) {
-  // Upstream of one instance against the downstream of another: the
-  // incomplete-matching reject path must replay with identical cost too.
-  const auto a = make_small_instance(141, 1.0, seconds(std::int64_t{1}));
-  const auto b = make_small_instance(142, 1.0, seconds(std::int64_t{1}));
-  check_batch_parity(a.marked, b.downstream, small_config());
+  check_uncorrelated_pair(141);
 }
 
 TEST(BatchKernelParity, TightCostBound) {
-  // A bound small enough that the replayed matching cost alone exhausts the
-  // meter; bound-hit and interruption reporting must stay identical.
-  const auto instance =
-      make_small_instance(151, 2.0, seconds(std::int64_t{1}));
-  auto config = small_config();
-  config.cost_bound = 50;
-  check_batch_parity(instance.marked, instance.downstream, config);
+  check_small_seeds({151}, 2.0, tight_bound_config());
 }
 
 TEST(BatchKernelParity, LossAndRepacketization) {
   // Downstream loses packets (violates the paper's assumption 2): the
-  // robust variant's gap-aware path and the strict algorithms' reject path
-  // must both replay exactly.
+  // strict algorithms' reject path must replay exactly.
   for (const std::uint64_t seed : {161u, 162u, 163u}) {
     SCOPED_TRACE(seed);
     auto instance = make_small_instance(seed, 1.0, seconds(std::int64_t{1}));
     const traffic::LossRepacketizationModel loss(0.15, 0, mix_seeds(seed, 9));
     instance.downstream = loss.apply(instance.downstream);
-    check_batch_parity(instance.marked, instance.downstream, small_config());
+    check_parity(instance.marked, instance.downstream, small_config());
   }
 }
 
@@ -183,39 +323,15 @@ TEST(BatchKernelParity, DegenerateDownstreams) {
       make_small_instance(171, 0.5, seconds(std::int64_t{1}));
   const auto config = small_config();
   // Empty downstream.
-  check_batch_parity(instance.marked, Flow{}, config);
+  check_parity(instance.marked, Flow{}, config);
   // One-packet downstream.
   const TimeUs first = instance.downstream.timestamp(0);
-  check_batch_parity(instance.marked,
-                     Flow::from_timestamps(std::vector<TimeUs>{first}), config);
+  check_parity(instance.marked,
+               Flow::from_timestamps(std::vector<TimeUs>{first}), config);
 }
 
 TEST(BatchKernelParity, WrongKeyHypotheses) {
-  // One context serves every (schedule, watermark) hypothesis; the batch
-  // engine must agree with the scalar runners on each, matches or not.
-  const auto instance =
-      make_small_instance(181, 0.5, seconds(std::int64_t{1}));
-  const auto config = small_config();
-  const MatchContext context =
-      MatchContext::build(instance.marked.flow, instance.downstream,
-                          config.max_delay, config.size_constraint);
-  batch::BatchDecoder decoder(config);
-  Rng rng(182);
-  for (std::uint64_t key = 1900; key < 1906; ++key) {
-    SCOPED_TRACE(key);
-    const auto schedule = KeySchedule::create(
-        small_params(), instance.marked.flow.size(), key);
-    const Watermark target = Watermark::random(small_params().bits, rng);
-    const batch::DecodeHypothesis hyp{&schedule, &target};
-    expect_same_result(
-        run_greedy_plus(schedule, target, instance.marked.flow,
-                        instance.downstream, config, &context),
-        decoder.decode_one(Algorithm::kGreedyPlus, context, hyp));
-    expect_same_result(
-        run_greedy_star(schedule, target, instance.marked.flow,
-                        instance.downstream, config, &context),
-        decoder.decode_one(Algorithm::kGreedyStar, context, hyp));
-  }
+  check_key_scan(181, 1900, 6);
 }
 
 TEST(BatchKernelParity, WorkspaceReuseAcrossPairs) {
@@ -276,22 +392,7 @@ TEST(BatchKernelParity, KernelModesAgree) {
   batch::set_kernel_mode(saved);
 }
 
-TEST(BatchKernelParity, TcplibPaperScale) {
-  // Paper-scale parameters over the tcplib-style generator (brute force
-  // excluded: exponential).
-  const traffic::TcplibTelnetModel model;
-  const Flow flow = model.generate(400, 0, 271);
-  Rng rng(272);
-  const Embedder embedder(WatermarkParams{}, 273);
-  const WatermarkedFlow marked =
-      embedder.embed(flow, Watermark::random(24, rng));
-  const traffic::UniformPerturber perturber(seconds(std::int64_t{7}), 274);
-  const traffic::PoissonChaffInjector chaff(5.0, 275);
-  const Flow downstream = chaff.apply(perturber.apply(marked.flow));
-
-  CorrelatorConfig config;  // defaults: Delta=7s, h=7, bound=10^6
-  check_batch_parity(marked, downstream, config, /*include_brute=*/false);
-}
+TEST(BatchKernelParity, TcplibPaperScale) { check_tcplib_pair(271); }
 
 TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
   const auto a = make_small_instance(221, 0.5, seconds(std::int64_t{1}));
@@ -331,29 +432,6 @@ TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
   auto zero_bound = config;
   zero_bound.cost_bound = 0;
   EXPECT_THROW(batch::BatchDecoder{zero_bound}, InvalidArgument);
-}
-
-/// The cold scalar reference run of `algorithm`: no context, so the
-/// matching phase runs inline.
-CorrelationResult cold_scalar_run(Algorithm algorithm,
-                                  const WatermarkedFlow& marked,
-                                  const Flow& downstream,
-                                  const CorrelatorConfig& config) {
-  switch (algorithm) {
-    case Algorithm::kBruteForce:
-      return run_brute_force(marked.schedule, marked.watermark, marked.flow,
-                             downstream, config);
-    case Algorithm::kGreedy:
-      return run_greedy(DecodePlan(marked.schedule, marked.watermark),
-                        marked.flow, downstream, config);
-    case Algorithm::kGreedyPlus:
-      return run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
-                             downstream, config);
-    case Algorithm::kGreedyStar:
-      return run_greedy_star(marked.schedule, marked.watermark, marked.flow,
-                             downstream, config);
-  }
-  throw InternalError("unhandled algorithm");
 }
 
 TEST(BatchKernelIntegration, CorrelateMatchesColdScalarRuns) {

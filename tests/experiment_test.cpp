@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "sscor/experiment/bench_main.hpp"
 #include "sscor/experiment/dataset.hpp"
 #include "sscor/experiment/evaluation.hpp"
 #include "sscor/experiment/sweep.hpp"
+#include "sscor/util/error.hpp"
 #include "sscor/util/metrics.hpp"
 
 namespace sscor::experiment {
@@ -193,6 +197,97 @@ TEST(GoldenCost, Fig07AndFig09MatchCheckedInOutputs) {
         << golden.file;
     EXPECT_EQ(table.to_csv(), read_golden(golden.file)) << golden.file;
   }
+}
+
+/// Both sweep entry points must refuse `config` for `metric` up front with
+/// an InvalidArgument containing `message`: a sweep with no sample behind
+/// its cells would otherwise print a table of NaN or zero cells and
+/// succeed.  Refusing up front means the sharded worker never creates its
+/// journal directory.
+void expect_refused(const ExperimentConfig& config, Metric metric,
+                    const std::string& message) {
+  SweepSpec spec;
+  spec.metric = metric;
+  spec.chaff_rates = {0.0};
+  try {
+    run_sweep(config, spec);
+    ADD_FAILURE() << "run_sweep was not refused";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+  ShardSpec shard;
+  shard.count = 1;
+  shard.journal_dir = testing::TempDir() + "sscor_refused_sweep";
+  std::filesystem::remove_all(shard.journal_dir);
+  try {
+    run_sweep_shard(config, spec, shard);
+    ADD_FAILURE() << "run_sweep_shard was not refused";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(shard.journal_dir));
+  std::filesystem::remove_all(shard.journal_dir);
+}
+
+TEST(Sweep, RefusesZeroFlows) {
+  auto config = tiny_config();
+  config.flows = 0;
+  for (const Metric metric :
+       {Metric::kDetectionRate, Metric::kCostCorrelated,
+        Metric::kFalsePositiveRate, Metric::kCostUncorrelated}) {
+    SCOPED_TRACE(to_string(metric));
+    expect_refused(config, metric, "flows must be positive");
+  }
+}
+
+TEST(Sweep, RefusesFalsePositiveMetricsOverOneFlow) {
+  auto config = tiny_config();
+  config.flows = 1;
+  for (const Metric metric :
+       {Metric::kFalsePositiveRate, Metric::kCostUncorrelated}) {
+    SCOPED_TRACE(to_string(metric));
+    expect_refused(config, metric, "flows must be >= 2");
+  }
+}
+
+TEST(Sweep, RefusesFalsePositiveMetricsWithoutPairs) {
+  auto config = tiny_config();
+  config.fp_pairs = 0;
+  for (const Metric metric :
+       {Metric::kFalsePositiveRate, Metric::kCostUncorrelated}) {
+    SCOPED_TRACE(to_string(metric));
+    expect_refused(config, metric, "fp_pairs must be positive");
+  }
+}
+
+TEST(BenchOptions, MalformedNumbersExitWithUsage) {
+  // Numbers must be whole, non-negative and in range: strtoull would read
+  // "3x" as 3, "abc" as 0 and "-1" as 2^64 - 1.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* flag :
+       {"--flows=abc", "--flows=3x", "--flows=", "--fp-pairs=-1",
+        "--packets=+5", "--seed=18446744073709551616", "--threads=4294967296",
+        "--threads= 2"}) {
+    SCOPED_TRACE(flag);
+    std::vector<std::string> args{"fig03", flag};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    EXPECT_EXIT(parse_bench_options(static_cast<int>(argv.size()),
+                                    argv.data()),
+                testing::ExitedWithCode(2), "usage: fig03");
+  }
+  // Well-formed values still parse, the maximum included.
+  std::vector<std::string> args{"fig03", "--flows=12", "--fp-pairs=0",
+                                "--seed=18446744073709551615"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  const BenchOptions options =
+      parse_bench_options(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(options.config.flows, 12u);
+  EXPECT_EQ(options.config.fp_pairs, 0u);
+  EXPECT_EQ(options.config.master_seed, 18446744073709551615ull);
 }
 
 TEST(Sweep, MetricNames) {

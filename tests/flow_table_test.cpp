@@ -1,6 +1,6 @@
-// Tests for the streaming flow table: ring-buffer semantics, the three
-// eviction bounds (idle TTL, flow count, buffered-packet memory cap) held
-// through churn, tombstone behaviour, and the engine-level eviction
+// Tests for the streaming flow table: the three eviction bounds (idle TTL,
+// flow count, buffered-packet memory cap) held through churn, tombstone
+// behaviour, and the engine-level eviction
 // contract — every flow cut short still yields a verdict, and flows never
 // evicted yield verdicts identical to an unbounded run.
 //
@@ -38,31 +38,6 @@ PacketRecord packet_at(TimeUs t) {
   packet.timestamp = t;
   packet.size = 64;
   return packet;
-}
-
-TEST(TimestampRing, HoldsNewestOldestFirst) {
-  TimestampRing ring(3);
-  EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_EQ(ring.size(), 0u);
-
-  ring.push(10);
-  ring.push(20);
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.at(0), 10);
-  EXPECT_EQ(ring.at(1), 20);
-  EXPECT_EQ(ring.newest(), 20);
-  EXPECT_EQ(ring.dropped(), 0u);
-
-  ring.push(30);
-  ring.push(40);  // overwrites 10
-  ring.push(50);  // overwrites 20
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.pushed(), 5u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  EXPECT_EQ(ring.at(0), 30);
-  EXPECT_EQ(ring.at(1), 40);
-  EXPECT_EQ(ring.at(2), 50);
-  EXPECT_EQ(ring.newest(), 50);
 }
 
 TEST(FlowTable, ShardAssignmentIsPureAndInRange) {

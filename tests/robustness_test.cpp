@@ -42,6 +42,8 @@
 #include "sscor/stream/stream_engine.hpp"
 #include "sscor/util/backoff.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/util/journal.hpp"
+#include "sscor/util/json_parse.hpp"
 #include "sscor/util/time.hpp"
 
 namespace sscor::stream {
@@ -464,11 +466,13 @@ constexpr std::uint64_t kFingerprint = 0x5c0fde57;
 
 /// The daemon loop distilled: commit-before-emit against a DurableSession,
 /// drains and snapshot attempts at batch boundaries, resume replays the
-/// WAL then skips snapshotted input.  Returns the emitted verdict stream.
+/// WAL then skips snapshotted input.  Returns the emitted verdict stream;
+/// `restored`, when given, reports whether resume restored a snapshot.
 std::vector<std::string> run_daemon(const experiment::StreamCorpus& corpus,
                                     std::size_t shards, std::size_t batch,
                                     const std::string& state_dir, bool resume,
-                                    std::int64_t sigkill_after_commits) {
+                                    std::int64_t sigkill_after_commits,
+                                    bool* restored = nullptr) {
   StreamEngine engine(corpus.upstreams, corpus_config(),
                       engine_options(shards, batch));
   DurabilityOptions durability;
@@ -495,6 +499,7 @@ std::vector<std::string> run_daemon(const experiment::StreamCorpus& corpus,
       engine.restore(recovered.snapshot);
       skip = recovered.snapshot.next_seq;
     }
+    if (restored != nullptr) *restored = recovered.have_snapshot;
   } else {
     session.begin_fresh();
   }
@@ -515,6 +520,28 @@ std::vector<std::string> run_daemon(const experiment::StreamCorpus& corpus,
   return emitted;
 }
 
+/// Child process: runs the daemon loop into `state_dir` with a SIGKILL
+/// armed after the `commits`-th fresh commit — a real, unhandleable kill
+/// at the worst moment.
+void crash_daemon(const experiment::StreamCorpus& corpus, std::size_t shards,
+                  std::size_t batch, const std::string& state_dir,
+                  std::int64_t commits) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      run_daemon(corpus, shards, batch, state_dir, false, commits);
+    } catch (...) {
+      _exit(7);
+    }
+    _exit(0);  // not reached when the kill fires
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child was not killed";
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+}
+
 TEST(Durability, SigkillAtCommitBoundaryThenResumeMatchesUninterruptedRun) {
   const auto corpus = make_corpus(777);
   constexpr std::size_t kBatch = 64;
@@ -526,28 +553,82 @@ TEST(Durability, SigkillAtCommitBoundaryThenResumeMatchesUninterruptedRun) {
     const auto reference =
         run_daemon(corpus, shards, kBatch, ref_dir, false, -1);
     ASSERT_GT(reference.size(), 3u) << "corpus too small to crash mid-run";
-
-    // Child process: run the daemon loop with a SIGKILL armed after the
-    // 3rd fresh commit — a real, unhandleable kill at the worst moment.
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      try {
-        run_daemon(corpus, shards, kBatch, crash_dir, false, 3);
-      } catch (...) {
-        _exit(7);
-      }
-      _exit(0);  // not reached when the kill fires
-    }
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status)) << "child was not killed";
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+    ASSERT_NO_FATAL_FAILURE(
+        crash_daemon(corpus, shards, kBatch, crash_dir, 3));
 
     // Resume in this process: WAL replay + snapshot restore + the rest of
     // the feed must reproduce the uninterrupted verdict stream exactly.
     const auto resumed =
         run_daemon(corpus, shards, kBatch, crash_dir, true, -1);
+    EXPECT_EQ(resumed, reference) << "shards " << shards;
+
+    std::filesystem::remove_all(ref_dir);
+    std::filesystem::remove_all(crash_dir);
+  }
+}
+
+/// Rewrites every flow record of the snapshot at `path` in the layout of
+/// the encoder that still kept a per-flow timestamp ring: `first_seen`
+/// before `last_seen`, then `ring_pushed` and `ring` before `buffered`.
+void add_legacy_ring_keys(const std::string& path) {
+  const journal::LoadedJournal loaded = journal::load_journal(path);
+  journal::Journal out = journal::Journal::create(path, loaded.header);
+  for (std::string record : loaded.records) {
+    const json::Value value = json::parse(record);
+    if (value.find("first_seen_seq") != nullptr) {
+      const std::string last_seen =
+          std::to_string(value.at("last_seen").as_int());
+      const std::uint64_t packets = value.at("packets").as_uint();
+      std::string ring;
+      for (std::uint64_t i = 0; i < std::min<std::uint64_t>(packets, 8);
+           ++i) {
+        ring += (i == 0 ? "" : ",") + last_seen;
+      }
+      record.insert(record.find(",\"last_seen\":"),
+                    ",\"first_seen\":" + last_seen);
+      record.insert(record.find(",\"buffered\":"),
+                    ",\"ring_pushed\":" + std::to_string(packets) +
+                        ",\"ring\":[" + ring + "]");
+    }
+    out.append(record);
+  }
+}
+
+TEST(Durability, ResumesFromSnapshotWithLegacyRingKeys) {
+  // A state dir written while flows still carried a timestamp ring has
+  // snapshot keys the decoder no longer reads.  It reads keys by name, so
+  // such a snapshot is restored, not discarded, and the resumed stream
+  // equals the uninterrupted run.
+  const auto corpus = make_corpus(777);
+  constexpr std::size_t kBatch = 64;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    const std::string tag = std::to_string(shards);
+    const std::string ref_dir = temp_dir("legacy_ref" + tag);
+    const std::string crash_dir = temp_dir("legacy_crash" + tag);
+
+    const auto reference =
+        run_daemon(corpus, shards, kBatch, ref_dir, false, -1);
+    ASSERT_GT(reference.size(), 1u);
+    // Die before the last commit, late enough for a snapshot to exist.
+    ASSERT_NO_FATAL_FAILURE(crash_daemon(
+        corpus, shards, kBatch, crash_dir,
+        static_cast<std::int64_t>(reference.size()) - 1));
+    const std::string snapshot = crash_dir + "/snapshot.journal";
+    ASSERT_TRUE(std::filesystem::exists(snapshot))
+        << "the daemon died before its first snapshot";
+    add_legacy_ring_keys(snapshot);
+    const auto records = journal::load_journal(snapshot).records;
+    ASSERT_TRUE(std::any_of(records.begin(), records.end(),
+                            [](const std::string& record) {
+                              return record.find("\"ring_pushed\"") !=
+                                     std::string::npos;
+                            }))
+        << "the snapshot holds no flow";
+
+    bool restored = false;
+    const auto resumed =
+        run_daemon(corpus, shards, kBatch, crash_dir, true, -1, &restored);
+    EXPECT_TRUE(restored) << "the legacy snapshot was discarded";
     EXPECT_EQ(resumed, reference) << "shards " << shards;
 
     std::filesystem::remove_all(ref_dir);

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -333,6 +334,42 @@ VerdictDigest run_corpus(const experiment::StreamCorpus& corpus,
         std::to_string(verdict.result.cost));
   }
   return digest;
+}
+
+TEST(Prometheus, LadderTierFamiliesAreDistinct) {
+  // The daemon's end-of-stream decodes run the resilient ladder, whose
+  // per-tier counters must render as distinct families: "Greedy+" and
+  // "Greedy*" in a metric name would both read "Greedy_".
+  experiment::StreamCorpusConfig config;
+  config.watermarked_flows = 1;
+  config.decoy_flows = 3;
+  config.packets_per_flow = 200;
+  config.watermark = small_watermark();
+  const experiment::StreamCorpus corpus = experiment::make_stream_corpus(config);
+  stream::StreamOptions options = small_engine_options(1);
+  options.admission.max_cost_per_attempt = 1;  // every tier but the last stops
+  stream::StreamEngine engine(corpus.upstreams, CorrelatorConfig{}, options);
+  for (const auto& packet : corpus.packets) engine.ingest(packet);
+  engine.finish();
+  std::size_t degraded = 0;
+  for (const auto& verdict : engine.drain_verdicts()) {
+    degraded += verdict.kind == stream::VerdictKind::kDegraded;
+  }
+  ASSERT_GT(degraded, 0u) << "no decode fell back a tier";
+
+  const std::string text =
+      metrics::render_prometheus(metrics::snapshot(), {});
+  std::istringstream lines(text);
+  std::set<std::string> families;
+  std::size_t tier_families = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with("# TYPE ")) continue;
+    const std::string family = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(families.insert(family).second) << "duplicate " << family;
+    tier_families += family.starts_with("sscor_resilient_tier_") ||
+                     family.starts_with("sscor_resilient_fallback_from_");
+  }
+  EXPECT_EQ(tier_families, 8u);
 }
 
 TEST(StreamTelemetry, EndpointsDescribeALiveEngine) {

@@ -10,10 +10,12 @@
 #      races;
 #   3. configure + build an ASan/UBSan tree
 #      (-DSSCOR_SANITIZE=address,undefined) and run under it the
-#      match-context parity, parallel-determinism and hot-path allocation
-#      tests, the matching window / probe-count and candidate-set tests,
-#      the batched decode kernel's parity tests, and the golden cost
-#      figures and verdict records;
+#      match-context unit tests, parallel-determinism and hot-path
+#      allocation tests, the matching window / probe-count and
+#      candidate-set tests, the decode parity suite (BatchKernel*,
+#      MatchContextParity.* and MatchContextReuse.*: production decodes
+#      over a shared context vs the cold scalar reference), and the golden
+#      cost figures and verdict records;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing);
@@ -35,10 +37,11 @@
 #      capture with --metrics-json/--trace-spans, both outputs validated
 #      with trace_check;
 #   8. batched decode kernel: 600 batch_parity oracle iterations under
-#      ASan/UBSan (the batched SoA decode byte-identical to the scalar
+#      ASan/UBSan (production decodes byte-identical to the cold scalar
 #      reference for every correlator, cost included — DESIGN.md §13),
 #      then a separate -DSSCOR_SIMD=OFF tree whose scalar-dispatch
-#      batch_kernel_test must pass bit for bit;
+#      batch_kernel_test (the whole decode parity suite) must pass bit for
+#      bit;
 #   9. live ops surface: run `sscor_tool watch --stats-addr 127.0.0.1:0
 #      --event-log`, scrape /metrics (strict Prometheus 0.0.4 validation
 #      via trace_check --prom --fetch), /statusz and /healthz (strict
@@ -208,21 +211,21 @@ step_7() {  # streaming smoke: parity fuzz + watch e2e
 step_8() {  # batched decode kernel: parity fuzz + scalar-dispatch tree
   cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz
   # 600 batch_parity iterations under ASan/UBSan (the tree configures
-  # -DSSCOR_SIMD=ON): every correlator's batched SoA decode must be
-  # byte-identical to the scalar reference, the paper's cost metric
-  # included, both over a shared context and cold through
-  # Correlator::correlate.
+  # -DSSCOR_SIMD=ON): for every correlator the cold scalar reference, which
+  # runs its own matching phase, must equal BatchDecoder over the pair's
+  # shared context (decoded twice through one workspace) and
+  # Correlator::correlate, byte for byte, the paper's cost metric included.
   "$asan_dir/tools/sscor_fuzz" --oracle batch_parity \
     --iterations 600 --seed 1 --artifacts "$asan_dir/batch-artifacts"
   # Scalar-dispatch tree: -DSSCOR_SIMD=OFF flips the default kernel
-  # dispatch to the reference variants; the parity suite must still pass
-  # bit for bit.
+  # dispatch to the reference variants; the decode parity suite, all of
+  # which lives in batch_kernel_test, must still pass bit for bit.
   cmake -B "$scalar_dir" -S "$repo_root" \
     -DSSCOR_SIMD=OFF \
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$scalar_dir" -j "$jobs" --target batch_kernel_test
   ctest --test-dir "$scalar_dir" --output-on-failure -j "$jobs" \
-    -R 'BatchKernel'
+    -R 'BatchKernel|MatchContextParity|MatchContextReuse'
 }
 
 step_9() {  # live ops surface: stats endpoints + top + observer-only parity

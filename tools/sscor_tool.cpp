@@ -431,16 +431,13 @@ int cmd_detect(const Args& args) {
           trace::decode_enabled()
               ? up.tuple.to_string() + "->" + down.tuple.to_string()
               : std::string());
-      CorrelationResult r;
-      if (robust) {
-        r = run_greedy_plus_robust(handle.schedule, handle.watermark,
-                                   handle.flow, down.flow, config);
-      } else if (resilience.enabled()) {
-        r = ResilientCorrelator(config, algorithm, resilience)
-                .correlate(handle, down.flow);
-      } else {
-        r = Correlator(config, algorithm).correlate(handle, down.flow);
-      }
+      // With --deadline-ms/--budget unset the ladder is one budget-free
+      // attempt, byte-identical to Correlator::correlate.
+      const CorrelationResult r =
+          robust ? run_greedy_plus_robust(handle.schedule, handle.watermark,
+                                          handle.flow, down.flow, config)
+                 : ResilientCorrelator(config, algorithm, resilience)
+                       .correlate(handle, down.flow);
       metrics::counter("tool.detections_run").add(1);
       metrics::counter("tool.packets_accessed").add(r.cost);
       std::string annotation;
