@@ -1,6 +1,7 @@
 #include "sscor/correlation/correlator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <exception>
 #include <optional>
@@ -91,10 +92,50 @@ Correlator::Correlator(CorrelatorConfig config, Algorithm algorithm)
 
 namespace {
 
-/// Flushes the per-run latency sample on scope exit — including exceptional
-/// unwind (chaos-injected allocation failure, a throwing flow accessor), so
-/// a decode that dies after 900ms still lands in the latency tail instead
-/// of vanishing from the histogram.  Aborted runs are counted separately.
+/// Cost order of the ladder's tiers, most expensive first.
+constexpr std::array<Algorithm, 4> kTierOrder = {
+    Algorithm::kBruteForce,
+    Algorithm::kGreedyStar,
+    Algorithm::kGreedyPlus,
+    Algorithm::kGreedy,
+};
+
+/// A tier's name in metric names.  to_string() would not do: "Greedy+"
+/// and "Greedy*" both read "Greedy_" as Prometheus names, which would
+/// render two families under one name.
+const char* tier_metric_name(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::kBruteForce:
+      return "brute_force";
+    case Algorithm::kGreedy:
+      return "greedy";
+    case Algorithm::kGreedyPlus:
+      return "greedy_plus";
+    case Algorithm::kGreedyStar:
+      return "greedy_star";
+  }
+  return "unknown";
+}
+
+/// Per-algorithm counters "resilient.<what>.<tier>", looked up once.
+struct TierCounters {
+  explicit TierCounters(const std::string& what) {
+    for (const Algorithm algorithm : kTierOrder) {
+      by_algorithm[static_cast<int>(algorithm)] = &metrics::counter(
+          "resilient." + what + "." + tier_metric_name(algorithm));
+    }
+  }
+  metrics::Counter& operator[](Algorithm algorithm) const {
+    return *by_algorithm[static_cast<int>(algorithm)];
+  }
+  metrics::Counter* by_algorithm[kTierOrder.size()] = {};
+};
+
+/// Flushes the per-attempt latency sample on scope exit — including
+/// exceptional unwind (chaos-injected allocation failure, a throwing flow
+/// accessor), so a decode that dies after 900ms still lands in the latency
+/// tail instead of vanishing from the histogram.  Aborted attempts are
+/// counted separately.
 class LatencyFlusher {
  public:
   LatencyFlusher() noexcept
@@ -120,13 +161,40 @@ class LatencyFlusher {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// One decode attempt of one tier: the `correlate` span, a latency sample,
+/// the per-run metrics and (when enabled) one decode-trace record.
+CorrelationResult decode_attempt(const CorrelatorConfig& config,
+                                 Algorithm algorithm,
+                                 const WatermarkedFlow& watermarked,
+                                 const Flow& suspicious,
+                                 const MatchContext& context) {
+  TRACE_SPAN("correlate");
+  const LatencyFlusher latency_guard;
+  batch::BatchDecoder decoder(config);
+  const CorrelationResult result = decoder.decode_one(
+      algorithm, context,
+      batch::DecodeHypothesis{&watermarked.schedule, &watermarked.watermark});
+  record_run_metrics(result);
+  if (trace::decode_enabled()) {
+    record_decode_trace(to_string(result.algorithm), watermarked.watermark,
+                        result, context.windows(), watermarked.flow.size(),
+                        suspicious.size());
+  }
+  return result;
+}
+
 }  // namespace
+
+std::span<const Algorithm> fallback_ladder(Algorithm preferred) {
+  const auto* tier = std::find(kTierOrder.begin(), kTierOrder.end(), preferred);
+  check_invariant(tier != kTierOrder.end(),
+                  "unknown algorithm in fallback_ladder");
+  return {tier, kTierOrder.end()};
+}
 
 CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
                                         const Flow& suspicious,
                                         const MatchContext* context) const {
-  TRACE_SPAN("correlate");
-  const LatencyFlusher latency_guard;
   if (context != nullptr) {
     // Drop a context built for another pair or key rather than throwing:
     // the caller may hold one context while scanning many suspects.
@@ -143,25 +211,44 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
   std::optional<MatchContext> local;
   if (context == nullptr) {
     // The cold path: the same matching phase a scalar run performs, kept
-    // with its recorded cost, so the reported cost is unchanged.
+    // with its recorded cost, so the reported cost is unchanged.  The
+    // tiers differ only in budget, so they all decode from it.
     local.emplace(MatchContext::build(watermarked.flow, suspicious,
                                       config_.max_delay,
                                       config_.size_constraint));
     context = &*local;
   }
-  batch::BatchDecoder decoder(config_);
-  const CorrelationResult result = decoder.decode_one(
-      algorithm_, *context,
-      batch::DecodeHypothesis{&watermarked.schedule, &watermarked.watermark});
 
-  // Latency flushes via latency_guard so aborted runs are measured too.
-  record_run_metrics(result);
-  if (trace::decode_enabled()) {
-    record_decode_trace(to_string(result.algorithm), watermarked.watermark,
-                        result, context->windows(), watermarked.flow.size(),
-                        suspicious.size());
+  // With no budget nothing can interrupt a decode: the ladder is the
+  // configured algorithm alone.
+  const std::span<const Algorithm> ladder =
+      config_.budget.enabled() ? fallback_ladder(algorithm_)
+                               : fallback_ladder(algorithm_).first(1);
+  for (std::size_t depth = 0;; ++depth) {
+    const bool last = depth + 1 == ladder.size();
+    CorrelatorConfig attempt = config_;
+    // The last tier keeps only the token: the deadline and cost cap are
+    // lifted so the ladder always ends with a decision.
+    if (last) attempt.budget = DecodeBudget{.token = config_.budget.token};
+    CorrelationResult result = decode_attempt(attempt, ladder[depth],
+                                              watermarked, suspicious,
+                                              *context);
+    const bool cancelled = result.stop_reason == StopReason::kCancelled;
+    if (last || !result.interrupted || cancelled) {
+      static metrics::Counter& degraded_runs =
+          metrics::counter("resilient.degraded");
+      static metrics::Histogram& fallback_depth =
+          metrics::histogram("resilient.fallback_depth");
+      static const TierCounters tier("tier");
+      result.degraded = depth > 0;
+      if (result.degraded) degraded_runs.add();
+      fallback_depth.record(depth);
+      tier[result.algorithm].add();
+      return result;
+    }
+    static const TierCounters fallback_from("fallback_from");
+    fallback_from[ladder[depth]].add();
   }
-  return result;
 }
 
 }  // namespace sscor

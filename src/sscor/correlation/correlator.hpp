@@ -36,8 +36,19 @@ class Correlator {
   /// Otherwise a local context is built first.  A context built for a
   /// different pair or key is silently ignored (counted under
   /// `match_context.misses`), so callers can pass whatever context they
-  /// have on hand.  The result is byte-identical to the scalar run_*
-  /// reference in every field, cost included.
+  /// have on hand.
+  ///
+  /// With `config().budget` disabled this is exactly one decode of
+  /// `algorithm()`, byte-identical to the scalar run_* reference in every
+  /// field, cost included.  With a budget it is the degradation ladder:
+  /// the tiers of fallback_ladder(algorithm()) decode in turn from the one
+  /// context until one completes.  Every tier but the last decodes under
+  /// the budget (the deadline is absolute, so the tiers share it;
+  /// `max_cost` caps each attempt); the last keeps only the token, so the
+  /// ladder always returns a decision.  A token cancel returns the
+  /// interrupted tier's result without falling back.  `degraded` is set
+  /// when a tier below `algorithm()` produced the result, and
+  /// `result.algorithm` names that tier.
   CorrelationResult correlate(const WatermarkedFlow& watermarked,
                               const Flow& suspicious,
                               const MatchContext* context = nullptr) const;
@@ -49,6 +60,12 @@ class Correlator {
   CorrelatorConfig config_;
   Algorithm algorithm_;
 };
+
+/// The degradation ladder starting at `preferred`: `preferred`, then every
+/// strictly cheaper tier in the fixed cost order BruteForce → Greedy* →
+/// Greedy+ → Greedy (figs 7-10).  Never empty; Greedy is always last.  A
+/// view into one static array.
+std::span<const Algorithm> fallback_ladder(Algorithm preferred);
 
 /// Records one decode-introspection row (trace::DecodeRecord) for a
 /// finished run: `algorithm` labels it, the per-bit outcomes compare

@@ -36,8 +36,9 @@ struct CorrelatorConfig {
   /// Optional quantized-packet-size matching constraint (paper §3.2).
   std::optional<SizeConstraint> size_constraint;
   /// Resilience budget: deadline / cooperative cancel / operational cost
-  /// cap.  Defaults to disabled, in which case every decode is
-  /// byte-identical to a budget-free build (the probes short-circuit).
+  /// cap.  Defaults to disabled, in which case Correlator::correlate is one
+  /// decode, byte-identical to a budget-free build (the probes
+  /// short-circuit); set, it drives the degradation ladder.
   DecodeBudget budget;
 };
 
@@ -66,9 +67,9 @@ struct CorrelationResult {
   bool interrupted = false;
   /// Why the run was interrupted (kNone when it ran to completion).
   StopReason stop_reason = StopReason::kNone;
-  /// Set by ResilientCorrelator when the configured algorithm exhausted its
-  /// budget and a cheaper ladder tier produced this result; `algorithm`
-  /// then names the tier that actually ran.
+  /// Set by Correlator::correlate when the configured algorithm exhausted
+  /// its budget and a cheaper ladder tier produced this result;
+  /// `algorithm` then names the tier that actually ran.
   bool degraded = false;
 };
 

@@ -60,24 +60,32 @@ Flow read_flow_text(std::istream& in) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    PacketRecord p;
-    std::string ts_token, size_token, chaff_token, extra;
-    if (!(fields >> ts_token >> size_token >> chaff_token) ||
-        fields >> extra ||  // trailing tokens are malformed, not ignorable
-        !parse_number(ts_token, p.timestamp) ||
-        !parse_number(size_token, p.size) ||
-        (chaff_token != "0" && chaff_token != "1")) {
+    const std::optional<PacketRecord> p = read_packet_fields(fields);
+    if (!p) {
       throw IoError("malformed flow line " + std::to_string(line_number) +
                     ": " + line);
     }
-    p.is_chaff = chaff_token == "1";
-    if (!packets.empty() && p.timestamp < packets.back().timestamp) {
+    if (!packets.empty() && p->timestamp < packets.back().timestamp) {
       throw IoError("timestamps must be non-decreasing at line " +
                     std::to_string(line_number));
     }
-    packets.push_back(p);
+    packets.push_back(*p);
   }
   return Flow(std::move(packets), std::move(id));
+}
+
+std::optional<PacketRecord> read_packet_fields(std::istream& fields) {
+  PacketRecord p;
+  std::string ts_token, size_token, chaff_token, extra;
+  if (!(fields >> ts_token >> size_token >> chaff_token) ||
+      fields >> extra ||  // trailing tokens are malformed, not ignorable
+      !parse_number(ts_token, p.timestamp) ||
+      !parse_number(size_token, p.size) ||
+      (chaff_token != "0" && chaff_token != "1")) {
+    return std::nullopt;
+  }
+  p.is_chaff = chaff_token == "1";
+  return p;
 }
 
 Flow read_flow_file(const std::string& path) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "sscor/flow/flow.hpp"
@@ -27,5 +28,12 @@ void write_flow_file(const std::string& path, const Flow& flow);
 /// (bad header, unparsable line, decreasing timestamps).
 Flow read_flow_text(std::istream& in);
 Flow read_flow_file(const std::string& path);
+
+/// Reads the rest of one text line as the three packet fields
+/// `<timestamp_us> <size_bytes> <chaff_flag>`: each a whole token (no
+/// sign on the size, a chaff flag of exactly 0 or 1), with nothing after
+/// them.  Returns nullopt when the fields are malformed.  Shared by the
+/// flow text format and the `sscor-stream v1` text feed.
+std::optional<PacketRecord> read_packet_fields(std::istream& fields);
 
 }  // namespace sscor

@@ -18,7 +18,6 @@
 #include "sscor/correlation/greedy.hpp"
 #include "sscor/correlation/greedy_plus.hpp"
 #include "sscor/correlation/greedy_star.hpp"
-#include "sscor/correlation/resilient.hpp"
 #include "sscor/experiment/stream_corpus.hpp"
 #include "sscor/experiment/sweep.hpp"
 #include "sscor/flow/flow_io.hpp"
@@ -630,22 +629,27 @@ class BatchParityOracle final : public Oracle {
   }
 };
 
-/// resilient_parity: whatever tier the fallback ladder lands on, its result
-/// must be byte-identical to running that tier's algorithm directly under
-/// the same per-attempt budget (no budget at all for the always-completes
-/// final tier).  With resilience disabled the ladder must collapse to the
-/// plain Correlator result exactly.
+/// resilient_parity: whatever tier Correlator's degradation ladder lands
+/// on, its result must be byte-identical to one BatchDecoder attempt of
+/// that tier under the budget it received in the ladder (no budget at all
+/// for the always-completes last tier).  With no budget the ladder must be
+/// the one plain decode exactly.
 class ResilientParityOracle final : public Oracle {
  public:
   std::string_view name() const override { return "resilient_parity"; }
 
   std::vector<std::uint8_t> generate(Rng& rng) override {
     // Small per-attempt budgets make the ladder actually degrade in a
-    // sizeable fraction of cases; 0 exercises the disabled-collapse path.
-    const std::int64_t attempt_cost =
-        rng.bernoulli(0.75)
-            ? 50 + static_cast<std::int64_t>(rng.uniform_u64(30'000))
-            : 0;
+    // sizeable fraction of cases; a quarter of them (1-200) interrupt even
+    // Greedy, so a last tier that kept the cap would show; 0 exercises the
+    // budget-free single decode.
+    std::int64_t attempt_cost = 0;
+    if (rng.bernoulli(0.75)) {
+      attempt_cost =
+          rng.bernoulli(1.0 / 3.0)
+              ? 1 + static_cast<std::int64_t>(rng.uniform_u64(200))
+              : 50 + static_cast<std::int64_t>(rng.uniform_u64(30'000));
+    }
     return generate_pipeline_case(
         rng, /*max_bits=*/4,
         {{"preferred", static_cast<std::int64_t>(rng.uniform_u64(4))},
@@ -662,15 +666,14 @@ class ResilientParityOracle final : public Oracle {
     const auto attempt_cost = static_cast<std::uint64_t>(
         get_clamped(*parsed, "attempt_cost", 0, 0, 500'000));
 
-    ResilientOptions options;
-    options.max_cost_per_attempt = attempt_cost;
-    const ResilientCorrelator resilient(pipe->config, preferred, options);
+    CorrelatorConfig ladder_config = pipe->config;
+    ladder_config.budget.max_cost = attempt_cost;
     CorrelationResult ladder;
     try {
-      ladder = resilient.correlate(pipe->watermarked, pipe->downstream);
+      ladder = Correlator(ladder_config, preferred)
+                   .correlate(pipe->watermarked, pipe->downstream);
     } catch (const std::exception& e) {
-      return violation(std::string("resilient correlate threw: ") +
-                       e.what());
+      return violation(std::string("budgeted correlate threw: ") + e.what());
     }
 
     // The ladder must land on a tier at or below `preferred`, and flag
@@ -697,20 +700,25 @@ class ResilientParityOracle final : public Oracle {
                        " instead of falling back");
     }
 
-    // Replay the achieved tier directly under the budget it received in
-    // the ladder: the per-attempt cost cap for non-final tiers, nothing
+    // Replay the achieved tier as one attempt under the budget it received
+    // in the ladder: the per-attempt cost cap for non-final tiers, nothing
     // for the final tier (the ladder lifts its caps so it always
     // completes).
     CorrelatorConfig direct_config = pipe->config;
-    if (attempt_cost != 0 && ladder.algorithm != Algorithm::kGreedy) {
+    if (ladder.algorithm != Algorithm::kGreedy) {
       direct_config.budget.max_cost = attempt_cost;
     }
-    const Correlator direct(direct_config, ladder.algorithm);
+    const MatchContext context = MatchContext::build(
+        pipe->watermarked.flow, pipe->downstream, direct_config.max_delay,
+        direct_config.size_constraint);
     const CorrelationResult replay =
-        direct.correlate(pipe->watermarked, pipe->downstream);
+        batch::BatchDecoder(direct_config)
+            .decode_one(ladder.algorithm, context,
+                        batch::DecodeHypothesis{&pipe->watermarked.schedule,
+                                                &pipe->watermarked.watermark});
     if (auto m = result_mismatch(
             "ladder tier " + to_string(ladder.algorithm) +
-                " diverges from the same algorithm run directly",
+                " diverges from one attempt of the same algorithm",
             ladder, replay);
         !m.empty()) {
       return violation(std::move(m));
@@ -719,7 +727,8 @@ class ResilientParityOracle final : public Oracle {
   }
 };
 
-/// chaos_decode: deterministic fault injection into a single decode —
+/// chaos_decode: deterministic fault injection into a single decode
+/// attempt (BatchDecoder::decode_one, where the budget probe lives) —
 /// a self-cancelling token (trip_after_probes), an already-expired
 /// deadline, and/or an allocation budget that makes some heap request
 /// throw bad_alloc mid-decode.  The contract under every injection mix:
@@ -793,13 +802,15 @@ class ChaosDecodeOracle final : public Oracle {
         chaos_config.budget.deadline =
             Deadline::at(std::chrono::steady_clock::time_point{});
       }
-      const Correlator chaotic(chaos_config, algo);
+      batch::BatchDecoder chaotic(chaos_config);
+      const batch::DecodeHypothesis hyp{&pipe->watermarked.schedule,
+                                        &pipe->watermarked.watermark};
       try {
         if (alloc_budget > 0) {
           AllocationGuard guard(alloc_budget);
-          out.result = chaotic.correlate(pipe->watermarked, down, &context);
+          out.result = chaotic.decode_one(algo, context, hyp);
         } else {
-          out.result = chaotic.correlate(pipe->watermarked, down, &context);
+          out.result = chaotic.decode_one(algo, context, hyp);
         }
         out.returned = true;
       } catch (const std::bad_alloc&) {

@@ -28,14 +28,15 @@
 //                    algorithm: BatchDecoder over the pair's shared
 //                    MatchContext, decoded twice through one reused
 //                    workspace, and Correlator::correlate with no context.
-//   resilient_parity whatever tier the fallback ladder lands on equals that
-//                    algorithm run directly under the same budget; with
-//                    resilience disabled the ladder collapses to the plain
-//                    Correlator result exactly.
+//   resilient_parity whatever tier Correlator's degradation ladder lands
+//                    on under a per-attempt cost budget equals one
+//                    BatchDecoder attempt of that tier under the budget it
+//                    received (none for the last tier); with no budget the
+//                    ladder is the one plain decode exactly.
 //   chaos_decode     deterministic fault injection (self-cancelling token,
 //                    pre-expired deadline, allocation failure) into one
-//                    decode: clean error or correct result, never
-//                    corruption, and bit-for-bit replayable.
+//                    BatchDecoder attempt: clean error or correct result,
+//                    never corruption, and bit-for-bit replayable.
 //   chaos_sweep      mid-sweep abort + checkpoint tampering: cancel, then
 //                    resume over the (possibly tampered) journal must
 //                    reproduce the uncancelled table byte-for-byte.

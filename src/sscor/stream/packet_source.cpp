@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 
+#include "sscor/flow/flow_io.hpp"
 #include "sscor/pcap/pcapng_reader.hpp"
 #include "sscor/util/error.hpp"
 
@@ -58,16 +59,12 @@ std::optional<StreamPacket> FlowTextStreamSource::next() {
     if (line.empty() || line.front() == '#') continue;
     std::istringstream fields(line);
     std::string token;
-    std::int64_t timestamp = 0;
-    std::uint32_t size = 0;
-    int chaff = 0;
-    if (!(fields >> token >> timestamp >> size >> chaff) ||
-        (chaff != 0 && chaff != 1)) {
+    std::optional<PacketRecord> packet;
+    if (!(fields >> token) || !(packet = read_packet_fields(fields))) {
       throw IoError("stream text feed: malformed packet line " +
-                    std::to_string(line_number_));
+                    std::to_string(line_number_) + ": " + line);
     }
-    return StreamPacket{tuple_for_token(token),
-                        PacketRecord{timestamp, size, chaff == 1}};
+    return StreamPacket{tuple_for_token(token), *packet};
   }
   return std::nullopt;
 }

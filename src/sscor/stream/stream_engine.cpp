@@ -530,10 +530,10 @@ void StreamEngine::handle_evictions(std::size_t shard,
 }
 
 void StreamEngine::finalize_shard(std::size_t shard) {
-  // With admission control disabled the ladder is one budget-free attempt,
-  // byte-identical to Correlator::correlate.
-  const ResilientCorrelator correlator(config_, options_.algorithm,
-                                       options_.admission);
+  // With admission control disabled each decode is one budget-free attempt
+  // of the configured algorithm.
+  CorrelatorConfig config = config_;
+  config.budget.max_cost = options_.admission.max_cost_per_attempt;
   table_.for_each(shard, [&](FlowEntry& entry) {
     auto* state = static_cast<FlowState*>(entry.state.get());
     if (state == nullptr) return;
@@ -571,7 +571,12 @@ void StreamEngine::finalize_shard(std::size_t shard) {
             entry.tuple.to_string() + "#" +
             std::to_string(entry.first_seen_seq) + " up" + std::to_string(i));
         const WatermarkedFlow& upstream = upstreams_[i]->watermarked();
-        verdict.result = correlator.correlate(upstream, downstream);
+        if (options_.admission.deadline_us > 0) {
+          config.budget.deadline =
+              Deadline::after(options_.admission.deadline_us);
+        }
+        verdict.result = Correlator(config, options_.algorithm)
+                             .correlate(upstream, downstream);
         verdict.early = false;
         verdict.kind = verdict.result.degraded ? VerdictKind::kDegraded
                        : verdict.result.correlated ? VerdictKind::kPositive

@@ -12,7 +12,8 @@
 //   kNegative  — decoded clean, or rejected early by a finality proof;
 //   kEvicted   — a table bound cut the flow off before a decision;
 //   kDegraded  — admission control demoted the final decode to a cheaper
-//                tier (the resilient ladder), so the verdict is best-effort.
+//                tier (Correlator's degradation ladder), so the verdict is
+//                best-effort.
 //
 // Parity with the batch pipeline is the design invariant the test suite
 // pins: with the bounds disabled, the verdict (and with early exits
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "sscor/correlation/online.hpp"
-#include "sscor/correlation/resilient.hpp"
 #include "sscor/stream/flow_table.hpp"
 #include "sscor/stream/packet_source.hpp"
 
@@ -164,10 +164,16 @@ struct StreamOptions {
   /// Worker threads for per-shard processing; 1 = inline, 0 = hardware
   /// concurrency.  Never affects results.
   unsigned threads = 1;
-  /// Per-pair admission control for the final offline decode, reusing the
-  /// resilient ladder: when enabled, a pair exceeding its budget degrades
-  /// tier by tier instead of stalling the engine (verdict kind kDegraded).
-  ResilientOptions admission;
+  /// Per-pair admission control for the final offline decode: when either
+  /// value is set, each pair decodes under that DecodeBudget on
+  /// Correlator's degradation ladder, so a pair exceeding it degrades tier
+  /// by tier instead of stalling the engine (verdict kind kDegraded).
+  struct Admission {
+    /// Wall clock per pair, armed right before its decode; 0 = none.
+    DurationUs deadline_us = 0;
+    /// Packet-access cap per ladder attempt; 0 = unlimited.
+    std::uint64_t max_cost_per_attempt = 0;
+  } admission;
 };
 
 class StreamEngine {

@@ -24,7 +24,7 @@
 // from the paper's `cost_bound`: cost_bound is part of the algorithm
 // (Greedy*/BruteForce return best-so-far at 10^6 as the paper specifies),
 // while max_cost is an operational guard that marks the run interrupted so
-// a ResilientCorrelator can fall back to a cheaper tier.
+// Correlator::correlate can fall back to a cheaper tier.
 
 #pragma once
 
@@ -134,10 +134,12 @@ class Deadline {
 struct DecodeBudget {
   /// Cooperative cancel shared with the caller (not owned).
   CancellationToken* token = nullptr;
-  /// Wall-clock bound for this decode.
+  /// Wall-clock bound, absolute: every ladder tier of one
+  /// Correlator::correlate call shares it.
   Deadline deadline{};
-  /// Packet-access bound (same metric as CorrelationResult::cost);
-  /// 0 = unlimited.  Distinct from the paper's cost_bound (see header).
+  /// Packet-access bound per decode attempt (same metric as
+  /// CorrelationResult::cost); 0 = unlimited.  Distinct from the paper's
+  /// cost_bound (see header).
   std::uint64_t max_cost = 0;
 
   bool enabled() const {

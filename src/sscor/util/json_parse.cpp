@@ -1,9 +1,8 @@
 #include "sscor/util/json_parse.hpp"
 
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
-#include <limits>
 
 #include "sscor/util/error.hpp"
 
@@ -203,6 +202,7 @@ class Parser {
     } else {
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
+    const std::size_t integer_end = pos_;
     if (peek() == '.') {
       ++pos_;
       if (!std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -222,7 +222,22 @@ class Parser {
     v.type_ = Value::Type::kNumber;
     v.number_ = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
                             nullptr);
+    if (integer_end == pos_) {
+      // A double holds integers exactly only up to 2^53: keep the literal.
+      v.int_ = exact_integer<std::int64_t>(start);
+      v.uint_ = exact_integer<std::uint64_t>(start);
+    }
     return v;
+  }
+
+  /// The integer literal text_[start, pos_) as T, if it is in range.
+  template <typename T>
+  std::optional<T> exact_integer(std::size_t start) const {
+    T value{};
+    const char* const last = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(text_.data() + start, last, value);
+    if (ec != std::errc() || ptr != last) return std::nullopt;
+    return value;
   }
 
   static Value make_bool(bool b) {
@@ -248,8 +263,7 @@ class Parser {
   }
 
   [[noreturn]] void fail(const char* message) const {
-    throw InvalidArgument("JSON parse error at offset " +
-                          std::to_string(pos_) + ": " + message);
+    throw ParseError(pos_, message);
   }
 
   std::string_view text_;
@@ -267,22 +281,13 @@ double Value::as_number() const {
 }
 
 std::int64_t Value::as_int() const {
-  const double n = as_number();
-  if (!std::isfinite(n) ||
-      n < static_cast<double>(std::numeric_limits<std::int64_t>::min()) ||
-      n > static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
-    type_error("an int64");
-  }
-  return static_cast<std::int64_t>(n);
+  if (!int_) type_error("an int64");
+  return *int_;
 }
 
 std::uint64_t Value::as_uint() const {
-  const double n = as_number();
-  if (!std::isfinite(n) || n < 0.0 ||
-      n > static_cast<double>(std::numeric_limits<std::uint64_t>::max())) {
-    type_error("a uint64");
-  }
-  return static_cast<std::uint64_t>(n);
+  if (!uint_) type_error("a uint64");
+  return *uint_;
 }
 
 const std::string& Value::as_string() const {
@@ -324,6 +329,12 @@ double Value::number_or(const std::string& key, double fallback) const {
   const Value* v = find(key);
   return v == nullptr ? fallback : v->as_number();
 }
+
+ParseError::ParseError(std::size_t offset, const std::string& reason)
+    : InvalidArgument("JSON parse error at offset " + std::to_string(offset) +
+                      ": " + reason),
+      offset_(offset),
+      reason_(reason) {}
 
 Value parse(std::string_view text) {
   return Parser(text).parse_document();

@@ -438,7 +438,9 @@ TEST(BatchKernelIntegration, CorrelateMatchesColdScalarRuns) {
   // Correlator::correlate is the one production decode entry point.  With
   // no context, with the pair's own context, and with another pair's
   // context (which it must ignore), it equals the cold scalar run in every
-  // field — with and without a resilience cost cap that interrupts.
+  // field.  Under a resilience cost cap Correlator falls back down the
+  // ladder, so the capped runs pin one budgeted attempt, which is
+  // BatchDecoder's, interruption fields included.
   const auto small = make_small_instance(241, 0.5, seconds(std::int64_t{1}));
   const auto heavy = make_small_instance(242, 3.0, seconds(std::int64_t{1}));
   const auto sized = make_small_instance(243, 0.5, seconds(std::int64_t{1}));
@@ -477,10 +479,17 @@ TEST(BatchKernelIntegration, CorrelateMatchesColdScalarRuns) {
             Algorithm::kGreedyStar, Algorithm::kBruteForce}) {
         SCOPED_TRACE(std::string(c.name) + ", max_cost " +
                      std::to_string(max_cost) + ", " + to_string(algorithm));
-        const Correlator correlator(config, algorithm);
         const CorrelationResult want =
             cold_scalar_run(algorithm, c.marked, c.downstream, config);
         interrupted += want.interrupted;
+        if (max_cost != 0) {
+          const batch::DecodeHypothesis hyp{&c.marked.schedule,
+                                            &c.marked.watermark};
+          expect_same_result(want, batch::BatchDecoder(config).decode_one(
+                                       algorithm, own, hyp));
+          continue;
+        }
+        const Correlator correlator(config, algorithm);
         expect_same_result(want, correlator.correlate(c.marked, c.downstream));
         expect_same_result(want,
                            correlator.correlate(c.marked, c.downstream, &own));

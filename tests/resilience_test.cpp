@@ -18,10 +18,11 @@
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/resilient.hpp"
 #include "sscor/correlation/robust.hpp"
 #include "sscor/experiment/checkpoint.hpp"
 #include "sscor/experiment/sweep.hpp"
+#include "sscor/matching/batch_kernel.hpp"
+#include "sscor/matching/match_context.hpp"
 #include "sscor/traffic/chaff.hpp"
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
@@ -210,14 +211,19 @@ TEST(InterruptedDecode, EveryAlgorithmStopsCleanlyOnCancel) {
 TEST(InterruptedDecode, CostBudgetInterruptsExpensiveAlgorithms) {
   const Scenario s = make_scenario(13);
   // The brute-force search on a chaffed 900-packet flow costs far more
-  // than 500 accesses; a tiny budget must interrupt, not hang or crash.
+  // than 500 accesses; a tiny budget must interrupt one attempt, not hang
+  // or crash.  (Correlator would fall back down the ladder instead.)
+  const MatchContext context =
+      MatchContext::build(s.marked.flow, s.downstream, s.config.max_delay,
+                          s.config.size_constraint);
+  const batch::DecodeHypothesis hyp{&s.marked.schedule, &s.marked.watermark};
   for (const Algorithm algo :
        {Algorithm::kBruteForce, Algorithm::kGreedyStar,
         Algorithm::kGreedyPlus}) {
     CorrelatorConfig config = s.config;
     config.budget.max_cost = 500;
     const CorrelationResult r =
-        Correlator(config, algo).correlate(s.marked, s.downstream);
+        batch::BatchDecoder(config).decode_one(algo, context, hyp);
     ASSERT_TRUE(r.interrupted) << to_string(algo);
     EXPECT_EQ(r.stop_reason, StopReason::kCostBudget) << to_string(algo);
   }
@@ -262,35 +268,26 @@ TEST(InterruptedDecode, MetricsCountInterruptions) {
 
 TEST(ResilientLadder, LadderOrderIsSuffixOfTierOrder) {
   using A = Algorithm;
-  EXPECT_EQ(fallback_ladder(A::kBruteForce),
+  const auto ladder = [](A preferred) {
+    const auto tiers = fallback_ladder(preferred);
+    return std::vector<A>(tiers.begin(), tiers.end());
+  };
+  EXPECT_EQ(ladder(A::kBruteForce),
             (std::vector<A>{A::kBruteForce, A::kGreedyStar, A::kGreedyPlus,
                             A::kGreedy}));
-  EXPECT_EQ(fallback_ladder(A::kGreedyStar),
+  EXPECT_EQ(ladder(A::kGreedyStar),
             (std::vector<A>{A::kGreedyStar, A::kGreedyPlus, A::kGreedy}));
-  EXPECT_EQ(fallback_ladder(A::kGreedyPlus),
+  EXPECT_EQ(ladder(A::kGreedyPlus),
             (std::vector<A>{A::kGreedyPlus, A::kGreedy}));
-  EXPECT_EQ(fallback_ladder(A::kGreedy), (std::vector<A>{A::kGreedy}));
-}
-
-TEST(ResilientLadder, DisabledOptionsCollapseToPlainRun) {
-  const Scenario s = make_scenario(21);
-  for (const Algorithm algo : kAllAlgorithms) {
-    const CorrelationResult plain =
-        Correlator(s.config, algo).correlate(s.marked, s.downstream);
-    const CorrelationResult resilient =
-        ResilientCorrelator(s.config, algo).correlate(s.marked, s.downstream);
-    expect_identical(plain, resilient, to_string(algo));
-    EXPECT_FALSE(resilient.degraded);
-  }
+  EXPECT_EQ(ladder(A::kGreedy), (std::vector<A>{A::kGreedy}));
 }
 
 TEST(ResilientLadder, CostBudgetDegradesDownTheLadder) {
   const Scenario s = make_scenario(22);
-  ResilientOptions options;
-  options.max_cost_per_attempt = 500;  // interrupts everything but Greedy
-  const ResilientCorrelator resilient(s.config, Algorithm::kBruteForce,
-                                      options);
-  const CorrelationResult r = resilient.correlate(s.marked, s.downstream);
+  CorrelatorConfig config = s.config;
+  config.budget.max_cost = 500;  // interrupts everything but Greedy
+  const CorrelationResult r = Correlator(config, Algorithm::kBruteForce)
+                                  .correlate(s.marked, s.downstream);
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.algorithm, Algorithm::kGreedy);  // final tier, budget lifted
   EXPECT_FALSE(r.interrupted);
@@ -303,13 +300,30 @@ TEST(ResilientLadder, CostBudgetDegradesDownTheLadder) {
   expect_identical(direct, r, "degraded-to-greedy");
 }
 
+TEST(ResilientLadder, ExpiredDeadlineFallsBackToTheLastTier) {
+  const Scenario s = make_scenario(26);
+  CorrelatorConfig config = s.config;
+  // The deadline is shared by the tiers: expired before the first starts,
+  // it stops every tier but the last, which runs without it.
+  config.budget.deadline =
+      Deadline::at(std::chrono::steady_clock::time_point{});
+  const CorrelationResult r = Correlator(config, Algorithm::kBruteForce)
+                                  .correlate(s.marked, s.downstream);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.algorithm, Algorithm::kGreedy);
+  EXPECT_FALSE(r.interrupted);
+  const CorrelationResult direct =
+      Correlator(s.config, Algorithm::kGreedy).correlate(s.marked,
+                                                         s.downstream);
+  expect_identical(direct, r, "expired-deadline");
+}
+
 TEST(ResilientLadder, GenerousBudgetNeverDegrades) {
   const Scenario s = make_scenario(23);
-  ResilientOptions options;
-  options.max_cost_per_attempt = ~std::uint64_t{0} >> 1;
-  const ResilientCorrelator resilient(s.config, Algorithm::kGreedyPlus,
-                                      options);
-  const CorrelationResult r = resilient.correlate(s.marked, s.downstream);
+  CorrelatorConfig config = s.config;
+  config.budget.max_cost = ~std::uint64_t{0} >> 1;
+  const CorrelationResult r = Correlator(config, Algorithm::kGreedyPlus)
+                                  .correlate(s.marked, s.downstream);
   EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.algorithm, Algorithm::kGreedyPlus);
   const CorrelationResult plain =
@@ -322,35 +336,25 @@ TEST(ResilientLadder, ExplicitCancelNeverFallsBack) {
   const Scenario s = make_scenario(24);
   CancellationToken token;
   token.cancel();  // the caller said stop — degrading would defy them
-  ResilientOptions options;
-  options.token = &token;
-  options.max_cost_per_attempt = 500;
-  const ResilientCorrelator resilient(s.config, Algorithm::kBruteForce,
-                                      options);
-  const CorrelationResult r = resilient.correlate(s.marked, s.downstream);
+  CorrelatorConfig config = s.config;
+  config.budget.token = &token;
+  config.budget.max_cost = 500;
+  const CorrelationResult r = Correlator(config, Algorithm::kBruteForce)
+                                  .correlate(s.marked, s.downstream);
   EXPECT_TRUE(r.interrupted);
   EXPECT_EQ(r.stop_reason, StopReason::kCancelled);
   EXPECT_EQ(r.algorithm, Algorithm::kBruteForce);
   EXPECT_FALSE(r.degraded);
 }
 
-TEST(ResilientLadder, RejectsBudgetSmuggledThroughConfig) {
-  CorrelatorConfig config;
-  CancellationToken token;
-  config.budget.token = &token;
-  EXPECT_THROW(ResilientCorrelator(config, Algorithm::kGreedy),
-               InvalidArgument);
-}
-
 TEST(ResilientLadder, DegradationIsObservableInMetrics) {
   const Scenario s = make_scenario(25);
   const std::uint64_t degraded_before =
       metrics::counter("resilient.degraded").value();
-  ResilientOptions options;
-  options.max_cost_per_attempt = 500;
-  const ResilientCorrelator resilient(s.config, Algorithm::kGreedyPlus,
-                                      options);
-  const CorrelationResult r = resilient.correlate(s.marked, s.downstream);
+  CorrelatorConfig config = s.config;
+  config.budget.max_cost = 500;
+  const CorrelationResult r = Correlator(config, Algorithm::kGreedyPlus)
+                                  .correlate(s.marked, s.downstream);
   ASSERT_TRUE(r.degraded);
   EXPECT_EQ(metrics::counter("resilient.degraded").value(),
             degraded_before + 1);

@@ -398,6 +398,25 @@ TEST(FlowTextSource, RejectsBadHeaderAndMalformedLines) {
   EXPECT_THROW(source.next(), IoError);
 }
 
+TEST(FlowTextSource, FieldsParseAsWholeTokensLikeFlowText) {
+  // The feed shares read_flow_text's whole-token field parser: stream
+  // extraction would wrap a negative size to 4294967293, ignore a trailing
+  // token, and read the chaff flag "01" as 1.
+  for (const std::string line :
+       {"a 100 -3 0", "a 100 3 0 junk", "a 100 3 01"}) {
+    std::istringstream in("# sscor-stream v1\n" + line + "\n");
+    FlowTextStreamSource source(in);
+    try {
+      source.next();
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: " + line),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // Round-trip: serialise a parity case as a text feed, stream it back in,
 // and check the engine reaches the same decisions as direct ingestion
 // (tuples differ — they derive from tokens — but per-flow results match).

@@ -337,7 +337,7 @@ VerdictDigest run_corpus(const experiment::StreamCorpus& corpus,
 }
 
 TEST(Prometheus, LadderTierFamiliesAreDistinct) {
-  // The daemon's end-of-stream decodes run the resilient ladder, whose
+  // The daemon's budgeted end-of-stream decodes run the ladder, whose
   // per-tier counters must render as distinct families: "Greedy+" and
   // "Greedy*" in a metric name would both read "Greedy_".
   experiment::StreamCorpusConfig config;

@@ -23,8 +23,10 @@
 #include "sscor/traffic/chaff.hpp"
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
+#include "sscor/util/error.hpp"
 #include "sscor/util/histogram.hpp"
 #include "sscor/util/json.hpp"
+#include "sscor/util/json_parse.hpp"
 #include "sscor/util/metrics.hpp"
 #include "sscor/util/parallel.hpp"
 #include "sscor/util/trace.hpp"
@@ -58,6 +60,57 @@ TEST(JsonTest, FormatsNumbersLocaleIndependently) {
   EXPECT_EQ(json::number(-2.25, 1), "-2.2");
   EXPECT_EQ(json::number(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_EQ(json::number(std::numeric_limits<double>::infinity()), "null");
+}
+
+// ---------------------------------------------------------------------------
+// JSON reading (util/json_parse, which trace_check validates with).
+
+TEST(JsonParse, RejectsMalformedDocuments) {
+  // Pinned so the one grammar cannot loosen silently: trace_check accepts
+  // exactly what this parser accepts.
+  const std::string malformed[] = {
+      "01", "-01", "00", "1.", "1.e5", "1e", "1e+", "-", ".5", "+1",
+      "\"\\u12\"", "\"\\u12G4\"", "\"\\u\"", "\"\\x\"",
+      std::string("\"a\x01b\""), "\"a\tb\"", "\"a\nb\"", "\"open",
+      "[1,]", "{\"a\":1,}", "[1,2]x", "{} {}", "tru", "nul", "True", "NaN",
+      "Infinity", "'a'", "{a:1}", ""};
+  for (const std::string& doc : malformed) {
+    EXPECT_THROW(json::parse(doc), json::ParseError) << doc;
+  }
+  EXPECT_EQ(json::parse(" {\"a\": [1, -0.5e3, \"\\u00e9\\n\", true, null]} ")
+                .at("a")
+                .as_array()
+                .size(),
+            5u);
+}
+
+TEST(JsonParse, ParseErrorsCarryTheOffset) {
+  try {
+    json::parse("{\"a\": 01}");
+    ADD_FAILURE() << "accepted a leading zero";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(e.offset(), 7u);
+    EXPECT_EQ(e.reason(), "expected ',' or '}' in object");
+  }
+}
+
+TEST(JsonParse, IntegerAccessorsAreExactOrThrow) {
+  EXPECT_EQ(json::parse("18446744073709551615").as_uint(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW(json::parse("18446744073709551616").as_uint(),
+               InvalidArgument);
+  EXPECT_THROW(json::parse("9223372036854775808").as_int(), InvalidArgument);
+  EXPECT_EQ(json::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(json::parse("9007199254740993").as_uint(), 9007199254740993u);
+  EXPECT_EQ(json::parse("9007199254740993").as_int(), 9007199254740993);
+  EXPECT_THROW(json::parse("1.5").as_int(), InvalidArgument);
+  EXPECT_THROW(json::parse("1.5").as_uint(), InvalidArgument);
+  EXPECT_THROW(json::parse("-1").as_uint(), InvalidArgument);
+  EXPECT_EQ(json::parse("-1").as_int(), -1);
+  EXPECT_DOUBLE_EQ(json::parse("1.5").as_number(), 1.5);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,18 +18,22 @@
 #      cost figures and verdict records;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
-#      trace_check (strict JSON / JSONL parsing);
+#      trace_check (strict JSON / JSONL parsing), then run the degradation
+#      ladder from the CLI: `detect --algorithm brute --budget 200` on the
+#      same corpus must report the pair "degraded to Greedy";
 #   5. fuzz smoke: run the deterministic differential fuzzer (sscor_fuzz)
 #      under the ASan/UBSan build for a fixed iteration budget with the
 #      checked-in corpus, then replay every regression artifact.  Any
 #      oracle violation or sanitizer report fails the run; new violations
 #      are written as --replay artifacts (see DESIGN.md §10);
-#   6. chaos harness: >= 1000 deterministic seeded fault injections
-#      (self-cancelling tokens, pre-expired deadlines, allocation
-#      failures, mid-sweep aborts, checkpoint tampering) through the
-#      resilience oracles (resilient_parity / chaos_decode / chaos_sweep)
-#      under ASan/UBSan, plus a CLI kill -9 + --resume round trip.  The
-#      contract: clean error or correct result, never corruption
+#   6. chaos harness: 1500 deterministic seeded cases through the
+#      resilience oracles under ASan/UBSan — resilient_parity (the
+#      degradation ladder in Correlator::correlate under random
+#      per-attempt cost budgets), chaos_decode (self-cancelling tokens,
+#      pre-expired deadlines and allocation failures injected into one
+#      BatchDecoder attempt) and chaos_sweep (mid-sweep aborts,
+#      checkpoint tampering) — plus a CLI kill -9 + --resume round trip.
+#      The contract: clean error or correct result, never corruption
 #      (DESIGN.md §11);
 #   7. streaming smoke: 1000 stream_parity oracle iterations under
 #      ASan/UBSan (incremental == batch, byte for byte — DESIGN.md §12),
@@ -134,6 +138,13 @@ step_4() {  # trace smoke: end-to-end pipeline with --trace/--trace-spans
     --trace "$trace_dir/decode.jsonl" --trace-spans "$trace_dir/spans.json"
   "$check" --jsonl "$trace_dir/decode.jsonl"
   "$check" "$trace_dir/spans.json"
+  # The ladder from the CLI: 200 packet accesses interrupt Brute Force,
+  # Greedy* and Greedy+ on this pair, so the last tier decides it.
+  "$tool" detect --up "$trace_dir/marked.pcap" \
+    --down "$trace_dir/perturbed.pcap" --key "$trace_dir/secret.key" \
+    --max-delay-s 9 --algorithm brute --budget 200 |
+    tee "$trace_dir/ladder.out"
+  grep -q "degraded to Greedy)" "$trace_dir/ladder.out"
 }
 
 step_5() {  # differential fuzz smoke under ASan/UBSan
@@ -151,11 +162,14 @@ step_5() {  # differential fuzz smoke under ASan/UBSan
 
 step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   cmake --build "$asan_dir" -j "$jobs" --target sscor_fuzz sscor_tool
-  # 1500 round-robin iterations over the three resilience oracles: every
-  # case arms at least one deterministic fault (probe-counted cancel,
-  # pre-expired deadline, allocation budget, mid-sweep abort, tampered
-  # checkpoint) and asserts clean-error-or-correct-result.  Same seed =>
-  # same injections on any machine.
+  # 1500 round-robin iterations over the three resilience oracles:
+  # resilient_parity checks the tier Correlator's ladder lands on, under a
+  # random per-attempt cost budget, against one BatchDecoder attempt of
+  # that tier; chaos_decode injects a probe-counted cancel, a pre-expired
+  # deadline and/or an allocation budget into one BatchDecoder attempt;
+  # chaos_sweep aborts a sweep and tampers with its checkpoint.  Each
+  # asserts clean-error-or-correct-result.  Same seed => same cases on any
+  # machine.
   "$asan_dir/tools/sscor_fuzz" \
     --oracle resilient_parity --oracle chaos_decode --oracle chaos_sweep \
     --iterations 1500 --seed 1 --artifacts "$asan_dir/chaos-artifacts"

@@ -52,8 +52,8 @@
 // bounded-memory table, and prints a verdict per (flow, upstream) pair as
 // it finalises — provably-negative pairs reject long before their flow
 // ends.  --max-flows/--max-buffered-packets/--ttl-s bound the table
-// (evicted flows get an EVICTED verdict); --deadline-ms/--budget reuse the
-// resilient ladder as per-pair admission control for the final decodes;
+// (evicted flows get an EVICTED verdict); --deadline-ms/--budget run the
+// final decodes on the degradation ladder as per-pair admission control;
 // --metrics-json snapshots the metrics registry every --metrics-interval
 // packets (and at exit).
 //
@@ -92,10 +92,10 @@
 // scrape-to-scrape rates (--count N stops after N polls, --no-clear
 // appends instead of redrawing).
 //
-// detect's --deadline-ms / --budget bound each decode's wall clock /
-// packet accesses; when a decode blows its budget the resilient fallback
-// ladder (BruteForce -> Greedy* -> Greedy+ -> Greedy) degrades to a
-// cheaper algorithm instead of hanging (DESIGN.md §11).  sweep's
+// detect's --deadline-ms / --budget bound each pair's wall clock / each
+// attempt's packet accesses; when a decode blows its budget Correlator's
+// fallback ladder (BruteForce -> Greedy* -> Greedy+ -> Greedy) degrades to
+// a cheaper algorithm instead of hanging (DESIGN.md §11).  sweep's
 // --checkpoint journals each completed point to an append-only checksummed
 // JSONL file and --resume replays it, recomputing only missing points;
 // --kill-after N SIGKILLs the process after N points (crash testing).
@@ -137,7 +137,6 @@
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/resilient.hpp"
 #include "sscor/correlation/robust.hpp"
 #include "sscor/experiment/bench_main.hpp"
 #include "sscor/experiment/sweep.hpp"
@@ -410,11 +409,11 @@ int cmd_detect(const Args& args) {
                  "--algorithm is ignored\n");
   }
 
-  ResilientOptions resilience;
-  resilience.deadline_us =
+  const DurationUs deadline_us =
       millis(static_cast<std::int64_t>(args.u64("deadline-ms", 0)));
-  resilience.max_cost_per_attempt = args.u64("budget", 0);
-  if (robust && resilience.enabled()) {
+  CorrelatorConfig budgeted = config;
+  budgeted.budget.max_cost = args.u64("budget", 0);
+  if (robust && (deadline_us > 0 || budgeted.budget.max_cost != 0)) {
     std::fprintf(stderr,
                  "warning: --deadline-ms/--budget apply to the ladder "
                  "algorithms, not --robust; ignored\n");
@@ -431,13 +430,15 @@ int cmd_detect(const Args& args) {
           trace::decode_enabled()
               ? up.tuple.to_string() + "->" + down.tuple.to_string()
               : std::string());
-      // With --deadline-ms/--budget unset the ladder is one budget-free
-      // attempt, byte-identical to Correlator::correlate.
+      // With --deadline-ms/--budget unset this is one budget-free decode;
+      // otherwise each pair gets the full wall clock.
+      if (deadline_us > 0) {
+        budgeted.budget.deadline = Deadline::after(deadline_us);
+      }
       const CorrelationResult r =
           robust ? run_greedy_plus_robust(handle.schedule, handle.watermark,
                                           handle.flow, down.flow, config)
-                 : ResilientCorrelator(config, algorithm, resilience)
-                       .correlate(handle, down.flow);
+                 : Correlator(budgeted, algorithm).correlate(handle, down.flow);
       metrics::counter("tool.detections_run").add(1);
       metrics::counter("tool.packets_accessed").add(r.cost);
       std::string annotation;

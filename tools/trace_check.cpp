@@ -14,12 +14,13 @@
 //                               validate the response body (any mode)
 //
 // Exit status 0 when the input validates, 1 with a line/column diagnostic
-// on the first error.  The JSON parser is a strict recursive-descent RFC
-// 8259 subset: objects, arrays, strings with the escapes json.cpp emits,
-// numbers, true/false/null.  Used by tools/run_checks.sh to smoke the
+// on the first error.  JSON is read with the library's strict parser
+// (util/json_parse.hpp), so the validator accepts exactly what the
+// daemon and `top` read back.  Used by tools/run_checks.sh to smoke the
 // --trace/--trace-spans outputs of sscor_tool and to scrape-validate the
 // live ops endpoints of `sscor_tool watch --stats-addr`.
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -29,217 +30,38 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "sscor/net/http_client.hpp"
+#include "sscor/util/json_parse.hpp"
 
 namespace {
 
-class Parser {
- public:
-  Parser(const std::string& text, std::size_t line_base)
-      : text_(text), line_(line_base) {}
-
-  /// Parses one complete JSON value covering the whole input.  Returns
-  /// true on success; on failure `error()` describes the first problem.
-  bool parse_document() {
-    skip_ws();
-    if (!parse_value()) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing data after JSON value");
+/// Validates `text` as one JSON document with the library's reader.  On
+/// failure prints the first error as "line L, column C" (lines counted
+/// from `first_line`) and returns false.
+bool valid_json(const std::string& path, const std::string& text,
+                std::size_t first_line) {
+  try {
+    sscor::json::parse(text);
     return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool parse_value() {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-        return parse_literal("true");
-      case 'f':
-        return parse_literal("false");
-      case 'n':
-        return parse_literal("null");
-      default:
-        return parse_number();
-    }
-  }
-
-  bool parse_object() {
-    advance();  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      advance();
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') return fail("expected string key in object");
-      if (!parse_string()) return false;
-      skip_ws();
-      if (peek() != ':') return fail("expected ':' after object key");
-      advance();
-      skip_ws();
-      if (!parse_value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      if (peek() == '}') {
-        advance();
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array() {
-    advance();  // '['
-    skip_ws();
-    if (peek() == ']') {
-      advance();
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!parse_value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      if (peek() == ']') {
-        advance();
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string() {
-    advance();  // '"'
-    while (true) {
-      if (pos_ >= text_.size()) return fail("unterminated string");
-      const char c = text_[pos_];
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
-      if (c == '"') {
-        advance();
-        return true;
-      }
-      if (c == '\\') {
-        advance();
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            advance();
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return fail("bad \\u escape (need 4 hex digits)");
-            }
-          }
-          advance();
-          continue;
-        }
-        if (std::strchr("\"\\/bfnrt", esc) == nullptr) {
-          return fail("unknown escape character");
-        }
-        advance();
-        continue;
-      }
-      advance();
-    }
-  }
-
-  bool parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') advance();
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-      return fail("expected a JSON value");
-    }
-    if (peek() == '0') {
-      advance();
-    } else {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    }
-    if (peek() == '.') {
-      advance();
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit required after decimal point");
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      advance();
-      if (peek() == '+' || peek() == '-') advance();
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit required in exponent");
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-    }
-    return pos_ > start;
-  }
-
-  bool parse_literal(const char* word) {
-    const std::size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) {
-      return fail("expected a JSON value");
-    }
-    for (std::size_t i = 0; i < len; ++i) advance();
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void advance() {
-    if (pos_ < text_.size() && text_[pos_] == '\n') {
-      ++line_;
-      column_ = 0;
-    }
-    ++pos_;
-    ++column_;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      advance();
-    }
-  }
-
-  bool fail(const char* message) {
-    if (error_.empty()) {
-      std::ostringstream os;
-      os << "line " << line_ << ", column " << column_ << ": " << message;
-      error_ = os.str();
-    }
+  } catch (const sscor::json::ParseError& e) {
+    const std::string_view before(text.data(),
+                                  std::min(e.offset(), text.size()));
+    const std::size_t newline = before.rfind('\n');
+    const std::size_t line =
+        first_line + std::count(before.begin(), before.end(), '\n');
+    const std::size_t column = newline == std::string_view::npos
+                                   ? before.size() + 1
+                                   : before.size() - newline;
+    std::fprintf(stderr, "%s: line %zu, column %zu: %s\n", path.c_str(), line,
+                 column, e.reason().c_str());
     return false;
   }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t line_;
-  std::size_t column_ = 1;
-  std::string error_;
-};
+}
 
 int check_json(const std::string& path, const std::string& text) {
-  Parser parser(text, 1);
-  if (!parser.parse_document()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), parser.error().c_str());
-    return 1;
-  }
+  if (!valid_json(path, text, 1)) return 1;
   std::printf("%s: valid JSON (%zu bytes)\n", path.c_str(), text.size());
   return 0;
 }
@@ -462,12 +284,7 @@ int check_jsonl(const std::string& path, const std::string& text) {
                    path.c_str(), line_no);
       return 1;
     }
-    Parser parser(line, line_no);
-    if (!parser.parse_document()) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                   parser.error().c_str());
-      return 1;
-    }
+    if (!valid_json(path, line, line_no)) return 1;
     ++records;
   }
   std::printf("%s: valid JSONL (%zu records)\n", path.c_str(), records);
