@@ -21,7 +21,7 @@ namespace {
       "          [--corpus=interactive|tcplib] [--full] [--csv=PATH]\n"
       "          [--threads=N] [--metrics] [--metrics-json=PATH]\n"
       "          [--trace=PATH] [--trace-spans=PATH]\n"
-      "          [--checkpoint=PATH] [--resume]\n"
+      "          [--journal-dir=DIR] [--resume]\n"
       "  --flows        number of traces (default 91; paper: 91)\n"
       "  --packets      packets per trace (default 1000; paper: >1000)\n"
       "  --fp-pairs     sampled uncorrelated pairs per point (default 2000)\n"
@@ -32,8 +32,8 @@ namespace {
       "  --metrics-json write the run-metrics snapshot as JSON\n"
       "  --trace        write per-detect decode introspection as JSONL\n"
       "  --trace-spans  write span timings as Chrome trace JSON (Perfetto)\n"
-      "  --checkpoint   journal completed sweep points (crash-safe JSONL)\n"
-      "  --resume       replay the checkpoint, recompute missing points\n",
+      "  --journal-dir  journal completed sweep points into DIR (crash-safe)\n"
+      "  --resume       keep DIR's journal, compute only missing points\n",
       argv0);
   std::exit(2);
 }
@@ -85,8 +85,8 @@ BenchOptions parse_bench_options(int argc, char** argv,
       options.trace_spans_path = std::string(value);
     } else if (consume(arg, "--csv=", value)) {
       options.csv_path = std::string(value);
-    } else if (consume(arg, "--checkpoint=", value)) {
-      options.checkpoint = std::string(value);
+    } else if (consume(arg, "--journal-dir=", value)) {
+      options.journal_dir = std::string(value);
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (consume(arg, "--corpus=", value)) {
@@ -153,16 +153,22 @@ int run_figure_bench(const std::string& figure_id, const std::string& title,
     };
     if (!options.trace_path.empty()) trace::set_decode_enabled(true);
     if (!options.trace_spans_path.empty()) trace::set_spans_enabled(true);
-    SweepControl control;
-    control.checkpoint.path = options.checkpoint;
-    control.checkpoint.resume = options.resume;
-    if (options.resume && options.checkpoint.empty()) {
-      throw InvalidArgument("--resume requires --checkpoint=PATH");
+    if (options.resume && options.journal_dir.empty()) {
+      throw InvalidArgument("--resume requires --journal-dir=DIR");
     }
     TextTable table({"-"});
     {
       const metrics::ScopedTimer timer("bench." + figure_id);
-      table = run_sweep(options.config, spec, progress, control);
+      if (options.journal_dir.empty()) {
+        table = run_sweep(options.config, spec, progress);
+      } else {
+        // Shard 0 of 1 owns every point, so it always returns the table.
+        table = run_sweep_shard(options.config, spec,
+                                ShardSpec{.journal_dir = options.journal_dir,
+                                          .resume = options.resume},
+                                progress)
+                    .value();
+      }
     }
     std::printf("%s\n", table.to_string().c_str());
     if (!options.trace_path.empty()) {

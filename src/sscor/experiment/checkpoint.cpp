@@ -1,18 +1,13 @@
 #include "sscor/experiment/checkpoint.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <utility>
 
 #include "sscor/util/error.hpp"
 #include "sscor/util/json.hpp"
-#include "sscor/util/metrics.hpp"
+#include "sscor/util/json_parse.hpp"
 
 namespace sscor::experiment {
 namespace {
@@ -20,104 +15,28 @@ namespace {
 using journal::hex64;
 using journal::parse_hex;
 
-// ---- strict parsing of the sweep record shapes ---------------------------
-// The encoder emits one canonical byte sequence per record kind, so the
-// decoders demand exactly that shape, cursor-advancing over literal
-// fragments.  Anything else — reordered keys, trailing garbage, an
-// overflowing size — is a reject, never a guess.
-
-/// Advances `pos` past `literal` iff `data` continues with it.
-bool eat(std::string_view data, std::size_t& pos, std::string_view literal) {
-  if (data.substr(pos, literal.size()) != literal) return false;
-  pos += literal.size();
-  return true;
+/// Reads a record through json::parse and accepts it only when `encode`
+/// reproduces `data` byte for byte.  The encoders emit one canonical
+/// spelling per record, so reordered keys, extra members, whitespace,
+/// trailing garbage and an overflowing size (as_uint refuses it) all
+/// reject instead of decoding to a guess.
+template <typename Read, typename Encode>
+bool decode_canonical(const std::string& data, const Read& read,
+                      const Encode& encode) {
+  try {
+    if (!read(json::parse(data))) return false;
+  } catch (const InvalidArgument&) {
+    return false;  // not JSON, a missing member, or a mistyped value
+  }
+  return encode() == data;
 }
 
-/// Parses a decimal size at `pos`, advancing past it.  Rejects on uint64
-/// overflow: a corrupt-but-checksummed 25-digit field must not wrap into a
-/// plausible point index.
-bool parse_size(std::string_view data, std::size_t& pos, std::size_t& out) {
-  if (pos >= data.size() ||
-      std::isdigit(static_cast<unsigned char>(data[pos])) == 0) {
-    return false;
+std::vector<std::string> string_array(const json::Value& value) {
+  std::vector<std::string> out;
+  for (const json::Value& item : value.as_array()) {
+    out.push_back(item.as_string());
   }
-  std::uint64_t value = 0;
-  while (pos < data.size() &&
-         std::isdigit(static_cast<unsigned char>(data[pos])) != 0) {
-    const auto digit = static_cast<std::uint64_t>(data[pos] - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-    ++pos;
-  }
-  out = static_cast<std::size_t>(value);
-  return true;
-}
-
-/// Decodes the JSON string starting at `pos` (which must point at the
-/// opening quote); advances `pos` past the closing quote.
-bool parse_string_at(std::string_view data, std::size_t& pos,
-                     std::string& out) {
-  if (pos >= data.size() || data[pos] != '"') return false;
-  out.clear();
-  ++pos;
-  while (pos < data.size()) {
-    const char ch = data[pos];
-    if (ch == '"') {
-      ++pos;
-      return true;
-    }
-    if (ch == '\\') {
-      if (pos + 1 >= data.size()) return false;
-      const char esc = data[pos + 1];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 't': out += '\t'; break;
-        case 'n': out += '\n'; break;
-        case 'f': out += '\f'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos + 5 >= data.size()) return false;
-          std::uint64_t code = 0;
-          if (!parse_hex(data.substr(pos + 2, 4), code)) return false;
-          // The encoder only emits \u00XX for control bytes.
-          if (code > 0xff) return false;
-          out += static_cast<char>(code);
-          pos += 4;
-          break;
-        }
-        default:
-          return false;
-      }
-      pos += 2;
-      continue;
-    }
-    out += ch;
-    ++pos;
-  }
-  return false;  // unterminated
-}
-
-/// Parses a JSON array of strings starting at the '[' and advances past
-/// the closing ']'.
-bool parse_string_array(std::string_view data, std::size_t& pos,
-                        std::vector<std::string>& out) {
-  out.clear();
-  if (!eat(data, pos, "[")) return false;
-  if (eat(data, pos, "]")) return true;
-  while (true) {
-    std::string item;
-    if (!parse_string_at(data, pos, item)) return false;
-    out.push_back(std::move(item));
-    if (pos < data.size() && data[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    break;
-  }
-  return eat(data, pos, "]");
+  return out;
 }
 
 }  // namespace
@@ -144,22 +63,19 @@ bool decode_checkpoint_header(const std::string& data,
                               std::uint64_t& fingerprint, std::size_t& points,
                               std::size_t& columns,
                               std::vector<std::string>& names) {
-  std::size_t pos = 0;
-  if (!eat(data, pos, "{\"fingerprint\":\"")) return false;
-  if (pos + 16 > data.size() ||
-      !parse_hex(std::string_view(data).substr(pos, 16), fingerprint)) {
-    return false;
-  }
-  pos += 16;
-  if (!eat(data, pos, "\",\"points\":")) return false;
-  if (!parse_size(data, pos, points)) return false;
-  if (!eat(data, pos, ",\"columns\":")) return false;
-  if (!parse_size(data, pos, columns)) return false;
-  names.clear();
-  if (eat(data, pos, ",\"names\":")) {
-    if (!parse_string_array(data, pos, names)) return false;
-  }
-  return eat(data, pos, "}") && pos == data.size();
+  return decode_canonical(
+      data,
+      [&](const json::Value& record) {
+        points = record.at("points").as_uint();
+        columns = record.at("columns").as_uint();
+        const json::Value* listed = record.find("names");
+        names = listed != nullptr ? string_array(*listed)
+                                  : std::vector<std::string>{};
+        return parse_hex(record.at("fingerprint").as_string(), fingerprint);
+      },
+      [&] {
+        return encode_checkpoint_header(fingerprint, points, columns, names);
+      });
 }
 
 bool decode_checkpoint_header(const std::string& data,
@@ -182,12 +98,14 @@ std::string encode_checkpoint_row(std::size_t point,
 
 bool decode_checkpoint_row(const std::string& data, std::size_t& point,
                            std::vector<std::string>& row) {
-  std::size_t pos = 0;
-  if (!eat(data, pos, "{\"point\":")) return false;
-  if (!parse_size(data, pos, point)) return false;
-  if (!eat(data, pos, ",\"row\":")) return false;
-  if (!parse_string_array(data, pos, row)) return false;
-  return eat(data, pos, "}") && pos == data.size();
+  return decode_canonical(
+      data,
+      [&](const json::Value& record) {
+        point = record.at("point").as_uint();
+        row = string_array(record.at("row"));
+        return true;
+      },
+      [&] { return encode_checkpoint_row(point, row); });
 }
 
 std::string encode_checkpoint_claim(std::size_t point, std::size_t shard) {
@@ -197,12 +115,14 @@ std::string encode_checkpoint_claim(std::size_t point, std::size_t shard) {
 
 bool decode_checkpoint_claim(const std::string& data, std::size_t& point,
                              std::size_t& shard) {
-  std::size_t pos = 0;
-  if (!eat(data, pos, "{\"claim\":")) return false;
-  if (!parse_size(data, pos, point)) return false;
-  if (!eat(data, pos, ",\"shard\":")) return false;
-  if (!parse_size(data, pos, shard)) return false;
-  return eat(data, pos, "}") && pos == data.size();
+  return decode_canonical(
+      data,
+      [&](const json::Value& record) {
+        point = record.at("claim").as_uint();
+        shard = record.at("shard").as_uint();
+        return true;
+      },
+      [&] { return encode_checkpoint_claim(point, shard); });
 }
 
 std::string shard_journal_name(std::size_t index, std::size_t count) {
@@ -212,13 +132,22 @@ std::string shard_journal_name(std::size_t index, std::size_t count) {
 
 bool parse_shard_journal_name(std::string_view name, std::size_t& index,
                               std::size_t& count) {
-  std::size_t pos = 0;
-  if (!eat(name, pos, "shard-")) return false;
-  if (!parse_size(name, pos, index)) return false;
-  if (!eat(name, pos, "-of-")) return false;
-  if (!parse_size(name, pos, count)) return false;
-  if (!eat(name, pos, ".jsonl") || pos != name.size()) return false;
-  return count > 0 && index < count;
+  // Reads both numbers, then demands the canonical spelling back: a sign,
+  // a leading zero or any other suffix fails the round trip.
+  constexpr std::string_view kPrefix = "shard-";
+  constexpr std::string_view kOf = "-of-";
+  if (!name.starts_with(kPrefix)) return false;
+  const char* const last = name.data() + name.size();
+  const auto [index_end, index_error] =
+      std::from_chars(name.data() + kPrefix.size(), last, index);
+  if (index_error != std::errc() ||
+      !std::string_view(index_end, last - index_end).starts_with(kOf) ||
+      std::from_chars(index_end + kOf.size(), last, count).ec !=
+          std::errc()) {
+    return false;
+  }
+  return count > 0 && index < count &&
+         shard_journal_name(index, count) == name;
 }
 
 ClusterScan scan_journal_dir(const std::string& dir) {

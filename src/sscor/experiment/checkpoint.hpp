@@ -1,13 +1,13 @@
-// Crash-safe sweep checkpointing and the cluster journal directory.
+// Crash-safe sweeps: the journal directory and its record codecs.
 //
 // A full paper sweep is minutes of CPU; a crash (OOM kill, power loss,
-// impatient ^C) used to throw all completed points away.  run_sweep can now
-// journal each finished point to an append-only checkpoint file and, on
-// --resume, replay the journal and recompute only the missing points — the
-// resulting table is byte-identical to an uninterrupted run.  A *directory*
-// of per-shard journals turns the same format into a multi-process work
-// queue: N `sweep --shard i/N` workers journal disjoint points and a
-// deterministic merge reconstructs the serial table (DESIGN.md §15).
+// impatient ^C) must not throw the completed points away.  run_sweep_shard
+// journals each finished point into its own file inside a directory and,
+// on resume, folds the directory and recomputes only the missing points —
+// the table is byte-identical to an uninterrupted run.  One crash-safe
+// process is shard 0 of 1; N `sweep --shard i/N` workers journal disjoint
+// points into the same directory, and a deterministic merge reconstructs
+// the serial table (DESIGN.md §15).
 //
 // Format: JSON Lines, one self-validating record per line:
 //
@@ -17,16 +17,16 @@
 // `data` substring, so any torn or bit-flipped line is detected in
 // isolation.  The first line is a header record carrying a fingerprint of
 // (ExperimentConfig, SweepSpec) minus scheduling knobs plus the table's
-// column names; body records carry one completed point's row, or — in
-// sharded journals — a claim marking a point this shard has taken from
-// another shard's partition.  Each append is written and flushed as a
-// single line, so after a SIGKILL the file is a valid journal plus at most
-// one torn tail line, which the loader drops and append_to truncates
-// before writing anything new (a blind append would glue the next record
-// onto the torn fragment and corrupt both).  Corrupt *body* lines only
-// cost their point (it is recomputed); a corrupt or mismatched header
-// fails the resume with IoError — silently recomputing under a different
-// config would masquerade as the old sweep.
+// column names; body records carry one completed point's row, or a claim
+// marking a point this shard has taken from another shard's partition.
+// Each append is written and flushed as a single line, so after a SIGKILL
+// the file is a valid journal plus at most one torn tail line, which the
+// loader drops and append_to truncates before writing anything new (a
+// blind append would glue the next record onto the torn fragment and
+// corrupt both).  Corrupt *body* lines only cost their point (it is
+// recomputed); a header from another sweep fails the resume with IoError —
+// silently recomputing under a different config would masquerade as the
+// old sweep.
 
 #pragma once
 
@@ -59,39 +59,19 @@ inline LoadedCheckpoint load_checkpoint(const std::string& path) {
   return journal::load_journal(path);
 }
 
-/// Checkpointing knobs carried into run_sweep via SweepControl.
-struct CheckpointOptions {
-  /// Journal path; empty disables checkpointing entirely.  Ignored by the
-  /// sharded entry point, which derives per-shard paths from the journal
-  /// directory.
-  std::string path;
-  /// Replay the journal and recompute only missing points.  When false an
-  /// existing journal is truncated and the sweep starts fresh.
-  bool resume = false;
-  /// Pay one fsync per appended record (see the durability contract in
-  /// DESIGN.md §15).  Off by default: a single-machine sweep only needs to
-  /// survive process death, not power loss.
-  bool fsync = false;
-  /// Crash-injection test hook: raise(SIGKILL) immediately after this many
-  /// body records have been appended (< 0 = disabled).  Used by the
-  /// kill-and-resume tests and the chaos harness; never set in production.
-  std::int64_t sigkill_after_points = -1;
-
-  bool enabled() const { return !path.empty(); }
-};
-
 // --- sweep record codecs -------------------------------------------------
 // The sweep stores plain row data; these helpers keep the JSON shape in one
 // place.  Decoders return false on malformed input instead of throwing (a
 // corrupt-but-checksummed record only costs a recompute), but they are
-// strict: the canonical encoder shape must match exactly, end of payload
-// included — trailing garbage or an overflowing numeric field is a reject,
-// never a silently mangled value.
+// strict: a record is accepted only when re-encoding what json::parse read
+// reproduces it byte for byte — trailing garbage, reordered keys or an
+// overflowing numeric field is a reject, never a silently mangled value.
 
 /// {"fingerprint":"<16hex>","points":N,"columns":M,"names":["c",...]}
 /// `names` carries the table's column headers so a journal directory can be
 /// merged into the full table without re-deriving the detector line-up;
-/// decode accepts the pre-cluster 3-field form (names left empty).
+/// decode accepts the pre-cluster 3-field form (names left empty), which
+/// no sweep resumes or merges any more.
 std::string encode_checkpoint_header(std::uint64_t fingerprint,
                                      std::size_t points, std::size_t columns,
                                      const std::vector<std::string>& names = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -46,17 +45,10 @@ void resolve_axes(const SweepSpec& spec, std::vector<double>& chaff_rates,
   }
 }
 
-bool file_exists(const std::string& path) {
-  if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
-    std::fclose(file);
-    return true;
-  }
-  return false;
-}
-
 /// The resolved sweep: the point grid, the table header (the swept axis
 /// plus one column per detector), and the config/spec fingerprint — shared
-/// by the serial and sharded drivers so their tables agree byte for byte.
+/// by the in-memory and journaled drivers so their tables agree byte for
+/// byte.
 struct SweepPlan {
   struct Point {
     DurationUs delay;
@@ -145,7 +137,7 @@ std::uint64_t sweep_fingerprint(const ExperimentConfig& config,
   resolve_axes(spec, chaff_rates, max_delays);
   // Canonical text form of every value-determining field.  `threads` is
   // deliberately excluded: the table is schedule-independent, so a
-  // checkpoint taken at 8 threads resumes fine at 1.
+  // journal taken at 8 threads resumes fine at 1.
   std::string canon = "v1";
   auto field = [&canon](const std::string& value) {
     canon += '|';
@@ -187,7 +179,7 @@ std::string to_string(Metric metric) {
 }
 
 TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
-                    const ProgressFn& progress, const SweepControl& control) {
+                    const ProgressFn& progress) {
   const metrics::ScopedTimer sweep_timer("sweep.run");
   TRACE_SPAN("sweep.run");
   const SweepPlan plan = build_plan(config, spec);
@@ -197,96 +189,24 @@ TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
   const Dataset dataset = Dataset::build(config);
   TextTable table(plan.header);
 
-  // Crash-safe checkpointing: replay previously journaled points (resume),
-  // then journal each newly completed point as one checksummed line.
-  std::vector<std::vector<std::string>> rows(points.size());
-  std::vector<char> have(points.size(), 0);
-  std::optional<CheckpointJournal> journal;
-  std::mutex journal_mutex;
-  if (control.checkpoint.enabled()) {
-    const bool resuming =
-        control.checkpoint.resume && file_exists(control.checkpoint.path);
-    if (resuming) {
-      const LoadedCheckpoint loaded =
-          load_checkpoint(control.checkpoint.path);
-      std::uint64_t got_fingerprint = 0;
-      std::size_t got_points = 0;
-      std::size_t got_columns = 0;
-      std::vector<std::string> got_names;
-      if (!decode_checkpoint_header(loaded.header, got_fingerprint,
-                                    got_points, got_columns, got_names) ||
-          got_fingerprint != plan.fingerprint ||
-          got_points != points.size() ||
-          got_columns != plan.header.size() ||
-          (!got_names.empty() && got_names != plan.header)) {
-        throw IoError(
-            "checkpoint was written by a different sweep "
-            "(config or spec changed): " +
-            control.checkpoint.path);
-      }
-      std::uint64_t resumed = 0;
-      for (const std::string& record : loaded.records) {
-        std::size_t p = 0;
-        std::vector<std::string> row;
-        if (!decode_checkpoint_row(record, p, row) || p >= points.size() ||
-            row.size() != plan.header.size() || have[p] != 0) {
-          continue;  // malformed, duplicate, or claim record: recompute
-        }
-        rows[p] = std::move(row);
-        have[p] = 1;
-        ++resumed;
-      }
-      metrics::counter("checkpoint.resumed_points").add(resumed);
-      metrics::counter("checkpoint.dropped_lines")
-          .add(loaded.dropped_lines);
-      journal.emplace(CheckpointJournal::append_to(control.checkpoint.path,
-                                                   control.checkpoint.fsync));
-    } else {
-      journal.emplace(CheckpointJournal::create(
-          control.checkpoint.path,
-          encode_checkpoint_header(plan.fingerprint, points.size(),
-                                   plan.header.size(), plan.header),
-          control.checkpoint.fsync));
-    }
-  }
-
   // Sweep points are mutually independent: every point derives its own
   // detectors and its downstream flows from (master seed, flow index,
   // point parameters), so dispatching them concurrently through the pool
   // changes only the schedule, never a value.  Rows are collected by point
   // index and appended in order, keeping the table byte-identical to the
-  // threads=1 run — and to any kill/resume split of the same sweep.
+  // threads=1 run.
+  std::vector<std::vector<std::string>> rows(points.size());
   std::mutex progress_mutex;
   parallel_for(
       points.size(),
       [&](std::size_t p) {
-        if (have[p] != 0) return;  // replayed from the checkpoint
         if (progress) {
           const std::lock_guard<std::mutex> lock(progress_mutex);
           progress(p, points.size(), plan.x_header + "=" + points[p].label);
         }
         rows[p] = compute_row(dataset, config, spec, points[p]);
-        if (journal) {
-          const std::lock_guard<std::mutex> lock(journal_mutex);
-          journal->append(encode_checkpoint_row(p, rows[p]));
-          if (control.checkpoint.sigkill_after_points >= 0 &&
-              journal->appended() >=
-                  static_cast<std::uint64_t>(
-                      control.checkpoint.sigkill_after_points)) {
-            // Crash-injection hook: die as hard as a power cut, right
-            // after the journal line reached the OS.
-            std::raise(SIGKILL);
-          }
-        }
       },
-      config.threads, control.cancel);
-  if (control.cancel != nullptr && control.cancel->stop_requested()) {
-    metrics::counter("sweep.cancelled").add();
-    throw Cancelled("sweep cancelled after " +
-                    std::to_string(journal ? journal->appended() : 0) +
-                    " newly completed points; checkpoint (if any) is "
-                    "resumable");
-  }
+      config.threads);
   for (auto& row : rows) {
     table.add_row(std::move(row));
   }
@@ -297,91 +217,69 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
                                          const SweepSpec& spec,
                                          const ShardSpec& shard,
                                          const ProgressFn& progress,
-                                         const SweepControl& control) {
+                                         const CancellationToken* cancel) {
   namespace fs = std::filesystem;
   require(shard.count > 0, "shard count must be positive");
   require(shard.index < shard.count, "shard index out of range");
-  require(!shard.journal_dir.empty(), "sharded sweep needs a journal dir");
+  require(!shard.journal_dir.empty(), "journaled sweep needs a journal dir");
 
   const metrics::ScopedTimer sweep_timer("sweep.run_shard");
   TRACE_SPAN("sweep.run_shard");
   const SweepPlan plan = build_plan(config, spec);
   const std::size_t point_count = plan.points.size();
-  const std::string header_data = encode_checkpoint_header(
-      plan.fingerprint, point_count, plan.header.size(), plan.header);
 
+  // Refuse a directory of another cluster size before writing anything: a
+  // journal left behind under the wrong count would make every later scan
+  // of the directory fail, the rightful workers' included.
+  if (const std::size_t existing =
+          scan_journal_dir(shard.journal_dir).shard_count;
+      existing != 0 && existing != shard.count) {
+    throw IoError("journal dir belongs to a " + std::to_string(existing) +
+                  "-way cluster, not " + std::to_string(shard.count) + ": " +
+                  shard.journal_dir);
+  }
+
+  // Open this shard's journal: a resume appends when the header decodes;
+  // otherwise (no resume, no journal yet, or a header torn by a death
+  // mid-first-write, whose records were unreadable anyway) it starts a
+  // fresh one.  Whether the header belongs to this sweep is the directory
+  // scan's call, below.
   fs::create_directories(shard.journal_dir);
   const std::string own_path =
       (fs::path(shard.journal_dir) /
        shard_journal_name(shard.index, shard.count))
           .string();
-
-  // Open (or fresh-create) this shard's journal.  repair_torn_tail runs
-  // inside append_to; a journal torn all the way back to an unreadable
-  // header (death mid-first-write) is recreated from scratch — its records
-  // were unrecoverable anyway.
-  std::optional<CheckpointJournal> journal;
-  if (control.checkpoint.resume && file_exists(own_path)) {
-    repair_torn_tail(own_path);
-    bool readable = false;
+  const auto header_decodes = [&]() {
+    std::uint64_t fingerprint = 0;
+    std::size_t points = 0, columns = 0;
     try {
-      const LoadedCheckpoint own = load_checkpoint(own_path);
-      std::uint64_t got_fingerprint = 0;
-      std::size_t got_points = 0, got_columns = 0;
-      std::vector<std::string> got_names;
-      if (decode_checkpoint_header(own.header, got_fingerprint, got_points,
-                                   got_columns, got_names)) {
-        if (got_fingerprint != plan.fingerprint ||
-            got_points != point_count ||
-            got_columns != plan.header.size() ||
-            (!got_names.empty() && got_names != plan.header)) {
-          throw IoError(
-              "shard journal was written by a different sweep "
-              "(config or spec changed): " +
-              own_path);
-        }
-        readable = true;
-      }
-    } catch (const IoError& e) {
-      // Distinguish "wrong sweep" (fatal, rethrown above as a fresh
-      // IoError with that message) from "unreadable header" (recreate).
-      if (std::string(e.what()).find("different sweep") !=
-          std::string::npos) {
-        throw;
-      }
-      readable = false;
+      return decode_checkpoint_header(load_checkpoint(own_path).header,
+                                      fingerprint, points, columns);
+    } catch (const IoError&) {
+      return false;
     }
-    if (readable) {
-      journal.emplace(
-          CheckpointJournal::append_to(own_path, control.checkpoint.fsync));
-    } else {
-      journal.emplace(CheckpointJournal::create(own_path, header_data,
-                                                control.checkpoint.fsync));
-    }
-  } else {
-    journal.emplace(CheckpointJournal::create(own_path, header_data,
-                                              control.checkpoint.fsync));
-  }
+  };
+  CheckpointJournal journal =
+      shard.resume && header_decodes()
+          ? CheckpointJournal::append_to(own_path, shard.fsync)
+          : CheckpointJournal::create(
+                own_path,
+                encode_checkpoint_header(plan.fingerprint, point_count,
+                                         plan.header.size(), plan.header),
+                shard.fsync);
 
   // Fold the whole directory: completed points anywhere count as done, and
   // claims pin stolen points to their claimer.
   auto scan_all = [&]() {
     ClusterScan scan = scan_journal_dir(shard.journal_dir);
-    if (scan.shard_files > 0) {
-      if (scan.shard_count != shard.count) {
-        throw IoError("journal dir belongs to a " +
-                      std::to_string(scan.shard_count) +
-                      "-way cluster, not " + std::to_string(shard.count) +
-                      ": " + shard.journal_dir);
-      }
-      if (scan.fingerprint != plan.fingerprint ||
-          scan.points != point_count ||
-          scan.columns != plan.header.size()) {
-        throw IoError(
-            "journal dir was written by a different sweep "
-            "(config or spec changed): " +
-            shard.journal_dir);
-      }
+    if (scan.shard_files > 0 &&
+        (scan.fingerprint != plan.fingerprint ||
+         scan.points != point_count || scan.columns != plan.header.size() ||
+         scan.names != plan.header)) {
+      throw IoError(
+          "journal dir was written by a different sweep "
+          "(config or spec changed): " +
+          shard.journal_dir);
     }
     if (scan.have.size() != point_count) {
       scan.rows.assign(point_count, {});
@@ -393,9 +291,10 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
   };
 
   ClusterScan scan = scan_all();
-  metrics::counter("cluster.resumed_points")
+  metrics::counter("checkpoint.resumed_points")
       .add(static_cast<std::uint64_t>(
           std::count(scan.have.begin(), scan.have.end(), char{1})));
+  metrics::counter("checkpoint.dropped_lines").add(scan.dropped_lines);
 
   const auto mine = [&](std::size_t p) {
     if (p % shard.count == shard.index) return true;
@@ -408,16 +307,22 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
   // The dataset is the expensive part of startup; a worker that resumes
   // into an already-complete partition never builds it.
   std::optional<Dataset> dataset;
-  const auto ensure_dataset = [&]() -> const Dataset& {
-    if (!dataset) dataset.emplace(Dataset::build(config));
-    return *dataset;
-  };
-
   std::mutex journal_mutex;
+  // Appends one record.  The crash-injection hook dies as hard as a power
+  // cut right after the line reached the OS.
+  const auto journal_record = [&](const std::string& data) {
+    const std::lock_guard<std::mutex> lock(journal_mutex);
+    journal.append(data);
+    if (shard.sigkill_after_points >= 0 &&
+        journal.appended() >=
+            static_cast<std::uint64_t>(shard.sigkill_after_points)) {
+      std::raise(SIGKILL);
+    }
+  };
   std::mutex progress_mutex;
   const auto compute_targets = [&](const std::vector<std::size_t>& targets) {
     if (targets.empty()) return;
-    const Dataset& data = ensure_dataset();
+    if (!dataset) dataset.emplace(Dataset::build(config));
     parallel_for(
         targets.size(),
         [&](std::size_t i) {
@@ -427,25 +332,18 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
             progress(p, point_count,
                      plan.x_header + "=" + plan.points[p].label);
           }
-          auto row = compute_row(data, config, spec, plan.points[p]);
-          {
-            const std::lock_guard<std::mutex> lock(journal_mutex);
-            journal->append(encode_checkpoint_row(p, row));
-            if (control.checkpoint.sigkill_after_points >= 0 &&
-                journal->appended() >=
-                    static_cast<std::uint64_t>(
-                        control.checkpoint.sigkill_after_points)) {
-              std::raise(SIGKILL);
-            }
-          }
+          auto row = compute_row(*dataset, config, spec, plan.points[p]);
+          journal_record(encode_checkpoint_row(p, row));
           scan.rows[p] = std::move(row);
           scan.have[p] = 1;
         },
-        config.threads, control.cancel);
-    if (control.cancel != nullptr && control.cancel->stop_requested()) {
+        config.threads, cancel);
+    if (cancel != nullptr && cancel->stop_requested()) {
       metrics::counter("sweep.cancelled").add();
-      throw Cancelled("shard " + std::to_string(shard.index) +
-                      " cancelled; journal is resumable");
+      throw Cancelled("shard " + std::to_string(shard.index) + "/" +
+                      std::to_string(shard.count) + " cancelled after " +
+                      std::to_string(journal.appended()) +
+                      " journaled record(s); resume it to finish");
     }
   };
 
@@ -470,17 +368,8 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
       }
     }
     if (!stolen.empty()) {
-      {
-        const std::lock_guard<std::mutex> lock(journal_mutex);
-        for (const std::size_t p : stolen) {
-          journal->append(encode_checkpoint_claim(p, shard.index));
-          if (control.checkpoint.sigkill_after_points >= 0 &&
-              journal->appended() >=
-                  static_cast<std::uint64_t>(
-                      control.checkpoint.sigkill_after_points)) {
-            std::raise(SIGKILL);
-          }
-        }
+      for (const std::size_t p : stolen) {
+        journal_record(encode_checkpoint_claim(p, shard.index));
       }
       metrics::counter("cluster.stolen_points").add(stolen.size());
       compute_targets(stolen);

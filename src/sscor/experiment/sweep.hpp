@@ -2,13 +2,16 @@
 //
 // Each figure is one metric over one swept axis with the other parameter
 // fixed; run_sweep produces the table of series (one column per detector)
-// that the corresponding bench binary prints and writes as CSV.
-// run_sweep_shard is the multi-process variant: N workers journal disjoint
-// subsets of the same grid into a shared directory and the merge
-// reconstructs the serial table byte for byte (DESIGN.md §15).
+// that the corresponding bench binary prints and writes as CSV, in memory.
+// run_sweep_shard is the crash-safe variant: it journals every completed
+// point into a directory and resumes from it.  One process is shard 0 of
+// 1; N workers journal disjoint subsets of the same grid into a shared
+// directory and the merge reconstructs the serial table byte for byte
+// (DESIGN.md §15).
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -53,26 +56,13 @@ struct SweepSpec {
 using ProgressFn =
     std::function<void(std::size_t, std::size_t, const std::string&)>;
 
-/// Resilience controls for run_sweep; the default is a plain,
-/// uncheckpointed, uncancellable sweep identical to the previous behaviour.
-struct SweepControl {
-  /// Crash-safe journaling of completed points (checkpoint.hpp).  In the
-  /// sharded entry point `path` is ignored (derived from the directory);
-  /// resume / fsync / the SIGKILL hook apply unchanged.
-  CheckpointOptions checkpoint;
-  /// Cooperative cancel polled between points (not owned).  When it trips,
-  /// in-flight points finish and are journaled, unstarted points never run,
-  /// and run_sweep throws Cancelled — a later resume picks up exactly the
-  /// missing points.
-  const CancellationToken* cancel = nullptr;
-};
-
-/// One worker's identity in a sharded cluster sweep.
+/// One worker of a journaled sweep.  The default is shard 0 of 1: a single
+/// crash-safe process that owns every point.
 struct ShardSpec {
   std::size_t index = 0;
-  /// Total workers; 0 disables sharding.
-  std::size_t count = 0;
-  /// Shared directory of per-shard journals (shard-<i>-of-<N>.jsonl).
+  /// Total workers (>= 1).
+  std::size_t count = 1;
+  /// Directory of per-shard journals (shard-<i>-of-<N>.jsonl).
   std::string journal_dir;
   /// After finishing its own partition (point % count == index, plus any
   /// point it previously claimed), the worker opportunistically claims and
@@ -81,13 +71,23 @@ struct ShardSpec {
   /// its claimer: if the claimer dies mid-compute, resume *that* shard to
   /// finish it.
   bool steal = true;
-
-  bool enabled() const { return count > 0; }
+  /// Keep this shard's journal and compute only the points the directory
+  /// lacks.  When false the shard's journal is recreated empty (other
+  /// shards' journals still count).
+  bool resume = false;
+  /// Pay one fsync per appended record (see the durability contract in
+  /// DESIGN.md §15).  Off by default: a single-machine sweep only needs to
+  /// survive process death, not power loss.
+  bool fsync = false;
+  /// Crash-injection test hook: raise(SIGKILL) immediately after this many
+  /// body records have been appended (< 0 = disabled).  Used by the
+  /// kill-and-resume tests and the chaos harness; never set in production.
+  std::int64_t sigkill_after_points = -1;
 };
 
 /// Fingerprint of everything that determines the sweep's values — the
 /// experiment config minus scheduling knobs (`threads`) plus the resolved
-/// spec — used to refuse resuming a checkpoint against a different sweep.
+/// spec — used to refuse resuming a journal against a different sweep.
 std::uint64_t sweep_fingerprint(const ExperimentConfig& config,
                                 const SweepSpec& spec);
 
@@ -96,24 +96,25 @@ std::uint64_t sweep_fingerprint(const ExperimentConfig& config,
 /// points are dispatched concurrently through the shared thread pool
 /// (`config.threads`; 1 = fully serial); every cell is a deterministic
 /// function of (config, spec), so the table is byte-identical for every
-/// thread count — and, with checkpointing, across any kill/resume split.
+/// thread count.  Nothing is journaled: see run_sweep_shard.
 TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
-                    const ProgressFn& progress = {},
-                    const SweepControl& control = {});
+                    const ProgressFn& progress = {});
 
-/// One worker of an N-process cluster sweep: journals its share of the
-/// grid (owned partition, previously claimed points, then stolen points)
-/// into `shard.journal_dir` and, when the directory holds every point at
-/// exit, returns the merged table — byte-identical to the serial
-/// single-process run.  Returns nullopt while other shards' points are
-/// still outstanding (merge later with scan_journal_dir + merge_cluster).
-/// Honors control.checkpoint.resume / .fsync / .sigkill_after_points;
-/// control.checkpoint.path is ignored.  Throws IoError when the directory
-/// belongs to a different sweep or a different shard count.
-std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
-                                         const SweepSpec& spec,
-                                         const ShardSpec& shard,
-                                         const ProgressFn& progress = {},
-                                         const SweepControl& control = {});
+/// One worker of a journaled sweep: journals its share of the grid (owned
+/// partition, previously claimed points, then stolen points) into
+/// `shard.journal_dir` and, when the directory holds every point at exit,
+/// returns the merged table — byte-identical to run_sweep, across any
+/// kill/resume split.  Shard 0 of 1 owns every point, so it always returns
+/// the table.  Returns nullopt while other shards' points are still
+/// outstanding (merge later with scan_journal_dir + merge_cluster).
+/// `cancel` (not owned) is polled between points: when it trips, in-flight
+/// points finish and are journaled, unstarted points never run, and the
+/// worker throws Cancelled — a resume picks up exactly the missing points.
+/// Throws IoError when the directory belongs to another shard count
+/// (refused before anything is written) or to a different sweep.
+std::optional<TextTable> run_sweep_shard(
+    const ExperimentConfig& config, const SweepSpec& spec,
+    const ShardSpec& shard, const ProgressFn& progress = {},
+    const CancellationToken* cancel = nullptr);
 
 }  // namespace sscor::experiment

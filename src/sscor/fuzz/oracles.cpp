@@ -905,10 +905,10 @@ class ChaosDecodeOracle final : public Oracle {
   }
 };
 
-/// chaos_sweep: mid-sweep abort and checkpoint-tamper injection for
-/// run_sweep.  A cancelled, checkpointed sweep followed by --resume (over
-/// an optionally tampered journal) must reproduce the uncancelled table
-/// byte-for-byte — crash-safety's observable contract.
+/// chaos_sweep: mid-sweep abort and journal-tamper injection for a
+/// journaled sweep (shard 0 of 1).  A cancelled sweep followed by a resume
+/// (over an optionally tampered journal) must reproduce the uncancelled
+/// table byte-for-byte — crash-safety's observable contract.
 class ChaosSweepOracle final : public Oracle {
  public:
   std::string_view name() const override { return "chaos_sweep"; }
@@ -956,44 +956,43 @@ class ChaosSweepOracle final : public Oracle {
       return violation(std::string("clean mini-sweep threw: ") + e.what());
     }
 
-    const fs::path path =
+    const fs::path dir =
         fs::temp_directory_path() /
         ("sscor-chaos-sweep-" +
-         std::to_string(experiment::sweep_fingerprint(config, spec)) +
-         ".jsonl");
+         std::to_string(experiment::sweep_fingerprint(config, spec)));
+    const fs::path path = dir / experiment::shard_journal_name(0, 1);
     std::error_code ec;
-    fs::remove(path, ec);
+    fs::remove_all(dir, ec);
+    experiment::ShardSpec shard;
+    shard.journal_dir = dir.string();
 
     CancellationToken token;
     std::size_t started = 0;
-    experiment::SweepControl control;
-    control.checkpoint.path = path.string();
-    control.cancel = &token;
     bool cancelled = false;
     try {
-      const std::string interrupted =
-          run_sweep(config, spec,
-                    [&](std::size_t, std::size_t, const std::string&) {
-                      if (++started > cancel_after) token.cancel();
-                    },
-                    control)
-              .to_string();
+      const auto interrupted = run_sweep_shard(
+          config, spec, shard,
+          [&](std::size_t, std::size_t, const std::string&) {
+            if (++started > cancel_after) token.cancel();
+          },
+          &token);
       // The cancel landed after the last point started: the sweep ran to
       // completion and must match the clean table.
-      if (interrupted != clean) {
-        return violation("checkpointed sweep that outran its cancel "
+      if (!interrupted || interrupted->to_string() != clean) {
+        fs::remove_all(dir, ec);
+        return violation("journaled sweep that outran its cancel "
                          "produced a different table");
       }
     } catch (const Cancelled&) {
       cancelled = true;
     } catch (const std::exception& e) {
-      fs::remove(path, ec);
+      fs::remove_all(dir, ec);
       return violation(std::string("cancelled sweep threw ") + e.what() +
                        " instead of Cancelled");
     }
     if (cancelled && !fs::exists(path)) {
-      fs::remove(path, ec);
-      return violation("cancelled sweep left no checkpoint behind");
+      fs::remove_all(dir, ec);
+      return violation("cancelled sweep left no journal behind");
     }
 
     if (corrupt) {
@@ -1007,17 +1006,16 @@ class ChaosSweepOracle final : public Oracle {
       out << "{\"crc32\":\"12";
     }
 
-    experiment::SweepControl resume_control;
-    resume_control.checkpoint.path = path.string();
-    resume_control.checkpoint.resume = true;
+    shard.resume = true;
     std::string resumed;
     try {
-      resumed = run_sweep(config, spec, {}, resume_control).to_string();
+      const auto table = run_sweep_shard(config, spec, shard);
+      if (table) resumed = table->to_string();
     } catch (const std::exception& e) {
-      fs::remove(path, ec);
+      fs::remove_all(dir, ec);
       return violation(std::string("resume threw: ") + e.what());
     }
-    fs::remove(path, ec);
+    fs::remove_all(dir, ec);
     if (resumed != clean) {
       return violation("resumed sweep table diverges from the clean run "
                        "(cancel after " + std::to_string(cancel_after) +

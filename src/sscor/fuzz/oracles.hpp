@@ -37,9 +37,10 @@
 //                    pre-expired deadline, allocation failure) into one
 //                    BatchDecoder attempt: clean error or correct result,
 //                    never corruption, and bit-for-bit replayable.
-//   chaos_sweep      mid-sweep abort + checkpoint tampering: cancel, then
-//                    resume over the (possibly tampered) journal must
-//                    reproduce the uncancelled table byte-for-byte.
+//   chaos_sweep      mid-sweep abort + journal tampering on a one-shard
+//                    journaled sweep: cancel, then resume over the
+//                    (possibly tampered) journal must reproduce the
+//                    uncancelled table byte-for-byte.
 //   journal_merge    differential check of the cluster journal directory:
 //                    rows scattered across N tampered shard journals
 //                    (duplicates, claims, torn tails, corrupt lines) must

@@ -21,20 +21,29 @@ class Parser {
 
   Value parse_document() {
     skip_ws();
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing data after JSON value");
     return v;
   }
 
  private:
-  Value parse_value() {
+  /// Arrays and objects nest at most this deep.  Parsing recurses once per
+  /// level, so an unbounded "[[[[..." document would overflow the stack.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// `depth`: the arrays and objects enclosing this value.
+  Value parse_value(std::size_t depth) {
     if (pos_ >= text_.size()) fail("unexpected end of input");
-    switch (text_[pos_]) {
+    const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      fail("arrays and objects nested too deep");
+    }
+    switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"': {
         Value v;
         v.type_ = Value::Type::kString;
@@ -55,7 +64,7 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  Value parse_object(std::size_t depth) {
     Value v;
     v.type_ = Value::Type::kObject;
     ++pos_;  // '{'
@@ -72,7 +81,7 @@ class Parser {
       if (peek() != ':') fail("expected ':' after object key");
       ++pos_;
       skip_ws();
-      v.object_[std::move(key)] = parse_value();
+      v.object_[std::move(key)] = parse_value(depth);
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -86,7 +95,7 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
     Value v;
     v.type_ = Value::Type::kArray;
     ++pos_;  // '['
@@ -97,7 +106,7 @@ class Parser {
     }
     while (true) {
       skip_ws();
-      v.array_.push_back(parse_value());
+      v.array_.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

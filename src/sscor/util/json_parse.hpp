@@ -6,8 +6,9 @@
 // validates every emitted file, and the telemetry tests assert endpoint
 // schemas.  This is a strict recursive-descent RFC 8259 subset matching
 // exactly what util/json emits: objects, arrays, strings with the short
-// escapes plus \u00XX, numbers, true/false/null.  Failures throw
-// ParseError (an InvalidArgument) with the offset where parsing stopped.
+// escapes plus \u00XX, numbers, true/false/null, with arrays and objects
+// nested at most 256 deep.  Failures throw ParseError (an
+// InvalidArgument) with the offset where parsing stopped.
 // Not built for speed or huge documents — /statusz is a few kilobytes.
 
 #pragma once

@@ -28,7 +28,6 @@ namespace fs = std::filesystem;
 using experiment::CheckpointJournal;
 using experiment::ClusterScan;
 using experiment::ShardSpec;
-using experiment::SweepControl;
 
 experiment::ExperimentConfig mini_config(std::uint64_t seed = 77) {
   experiment::ExperimentConfig config;
@@ -158,11 +157,10 @@ TEST(ClusterSweep, KillAndResumeEachShardReproducesTheTable) {
     if (pid == 0) {
       // Child: one journaled point, then die mid-run.  threads=1 keeps
       // the inline parallel_for path off the forked-away thread pool.
-      SweepControl control;
-      control.checkpoint.sigkill_after_points = 1;
+      ShardSpec shard = shard_of(victim, 2, dir);
+      shard.sigkill_after_points = 1;
       try {
-        run_sweep_shard(config, spec, shard_of(victim, 2, dir), {},
-                        control);
+        run_sweep_shard(config, spec, shard);
       } catch (...) {
       }
       _exit(42);  // unreachable when the injection fires
@@ -181,11 +179,9 @@ TEST(ClusterSweep, KillAndResumeEachShardReproducesTheTable) {
 
     // Resuming the victim recomputes only its missing points and, as the
     // finishing worker, returns the merged table.
-    SweepControl resume;
-    resume.checkpoint.resume = true;
-    const auto resumed = run_sweep_shard(config, spec,
-                                         shard_of(victim, 2, dir), {},
-                                         resume);
+    ShardSpec resume = shard_of(victim, 2, dir);
+    resume.resume = true;
+    const auto resumed = run_sweep_shard(config, spec, resume);
     ASSERT_TRUE(resumed.has_value());
     EXPECT_EQ(resumed->to_string(), serial) << "victim shard " << victim;
     fs::remove_all(dir);
@@ -218,10 +214,9 @@ TEST(ClusterSweep, ClaimPinsStolenPointToClaimer) {
                                shard_of(2, 3, dir, /*steal=*/true)));
 
   // The claimer's resume owns the pinned point and finishes the grid.
-  SweepControl resume;
-  resume.checkpoint.resume = true;
-  const auto resumed =
-      run_sweep_shard(config, spec, shard_of(0, 3, dir), {}, resume);
+  ShardSpec resume = shard_of(0, 3, dir);
+  resume.resume = true;
+  const auto resumed = run_sweep_shard(config, spec, resume);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_EQ(resumed->to_string(), serial);
   fs::remove_all(dir);
@@ -300,18 +295,23 @@ TEST(ClusterSweep, ForeignSweepDirectoryIsFatal) {
   fs::remove_all(dir);
 }
 
-/// Journals from different cluster shapes in one directory are a setup
-/// error, caught at scan time.
+/// A worker started with another shard count is a setup error.  It is
+/// refused before it writes anything, so the directory stays usable by
+/// the cluster it belongs to.
 TEST(ClusterSweep, MixedShardCountsAreFatal) {
   const auto config = mini_config();
   const auto spec = mini_spec();
+  const std::string serial = run_sweep(config, spec).to_string();
   const std::string dir = temp_dir("cluster-mixed");
   EXPECT_FALSE(run_sweep_shard(config, spec, shard_of(0, 2, dir)));
-  // The mismatched worker trips over the existing 2-way journals at its
-  // own startup scan — after creating its journal, so the after-the-fact
-  // scan refuses the directory too.
-  EXPECT_THROW(run_sweep_shard(config, spec, shard_of(0, 4, dir)), IoError);
-  EXPECT_THROW(experiment::scan_journal_dir(dir), IoError);
+  EXPECT_THROW(run_sweep_shard(config, spec, shard_of(1, 4, dir)), IoError);
+  // A worker that forgot its shard is shard 0 of 1.
+  EXPECT_THROW(run_sweep_shard(config, spec, ShardSpec{.journal_dir = dir}),
+               IoError);
+  EXPECT_EQ(experiment::scan_journal_dir(dir).shard_files, 1u);
+  const auto table = run_sweep_shard(config, spec, shard_of(1, 2, dir));
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(table->to_string(), serial);
   fs::remove_all(dir);
 }
 
@@ -338,10 +338,9 @@ TEST(ClusterSweep, ScanSkipsNonJournalAndHeaderlessFiles) {
   EXPECT_EQ(scan.skipped_files, 1u);
 
   // The owner of the torn journal resumes from scratch and finishes.
-  SweepControl resume;
-  resume.checkpoint.resume = true;
-  const auto resumed =
-      run_sweep_shard(config, spec, shard_of(1, 2, dir), {}, resume);
+  ShardSpec resume = shard_of(1, 2, dir);
+  resume.resume = true;
+  const auto resumed = run_sweep_shard(config, spec, resume);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_EQ(resumed->to_string(), serial);
   fs::remove_all(dir);

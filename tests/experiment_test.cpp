@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sscor/experiment/bench_main.hpp"
@@ -165,16 +166,31 @@ std::string read_golden(const std::string& name) {
   return text.str();
 }
 
-// The paper's cost figures (7 and 9) at a small scale, pinned byte for byte
-// together with the exact packet-access total behind each: a change to any
-// decoder's matching phase or cost accounting shows here, not only in the
-// figures' rounded means.
-TEST(GoldenCost, Fig07AndFig09MatchCheckedInOutputs) {
+/// The small scale of the checked-in figures: `sscor_tool sweep`'s
+/// defaults at one thread.
+ExperimentConfig golden_config() {
   ExperimentConfig config;
   config.flows = 8;
   config.packets_per_flow = 600;
   config.fp_pairs = 40;
   config.threads = 1;
+  return config;
+}
+
+SweepSpec golden_spec(Metric metric) {
+  SweepSpec spec;
+  spec.metric = metric;
+  spec.axis = SweepAxis::kChaffRate;
+  spec.fixed_delay = kFig3FixedDelay;
+  return spec;
+}
+
+// The paper's cost figures (7 and 9) at a small scale, pinned byte for byte
+// together with the exact packet-access total behind each: a change to any
+// decoder's matching phase or cost accounting shows here, not only in the
+// figures' rounded means.
+TEST(GoldenCost, Fig07AndFig09MatchCheckedInOutputs) {
+  const ExperimentConfig config = golden_config();
   struct Golden {
     const char* file;
     Metric metric;
@@ -187,15 +203,34 @@ TEST(GoldenCost, Fig07AndFig09MatchCheckedInOutputs) {
   const metrics::Counter& accessed =
       metrics::counter("eval.packets_accessed");
   for (const Golden& golden : goldens) {
-    SweepSpec spec;
-    spec.metric = golden.metric;
-    spec.axis = SweepAxis::kChaffRate;
-    spec.fixed_delay = kFig3FixedDelay;
     const std::uint64_t before = accessed.value();
-    const TextTable table = run_sweep(config, spec);
+    const TextTable table = run_sweep(config, golden_spec(golden.metric));
     EXPECT_EQ(accessed.value() - before, golden.packets_accessed)
         << golden.file;
     EXPECT_EQ(table.to_csv(), read_golden(golden.file)) << golden.file;
+  }
+}
+
+// The paper's detection and false-positive figures (3 and 5) at the same
+// scale, through both sweep drivers: the in-memory sweep and a journaled
+// shard 0 of 1 must write the same bytes.
+TEST(GoldenDetection, Fig03AndFig05MatchCheckedInOutputs) {
+  const ExperimentConfig config = golden_config();
+  const std::pair<const char*, Metric> goldens[] = {
+      {"fig03_small.csv", Metric::kDetectionRate},
+      {"fig05_small.csv", Metric::kFalsePositiveRate},
+  };
+  for (const auto& [file, metric] : goldens) {
+    const std::string golden = read_golden(file);
+    EXPECT_EQ(run_sweep(config, golden_spec(metric)).to_csv(), golden)
+        << file;
+    ShardSpec shard;
+    shard.journal_dir = testing::TempDir() + "sscor_golden_detection";
+    std::filesystem::remove_all(shard.journal_dir);
+    const auto journaled = run_sweep_shard(config, golden_spec(metric), shard);
+    ASSERT_TRUE(journaled.has_value()) << file;
+    EXPECT_EQ(journaled->to_csv(), golden) << file;
+    std::filesystem::remove_all(shard.journal_dir);
   }
 }
 
@@ -217,7 +252,6 @@ void expect_refused(const ExperimentConfig& config, Metric metric,
         << e.what();
   }
   ShardSpec shard;
-  shard.count = 1;
   shard.journal_dir = testing::TempDir() + "sscor_refused_sweep";
   std::filesystem::remove_all(shard.journal_dir);
   try {

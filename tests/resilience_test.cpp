@@ -1,7 +1,8 @@
 // Tests for the resilience layer: cooperative cancellation (tokens,
 // deadlines, probes), the graceful-degradation ladder, crash-safe sweep
-// checkpointing (including a real fork+SIGKILL kill-and-resume), and the
-// metrics that make interrupted decodes observable.
+// journaling as shard 0 of 1 (including a real fork+SIGKILL
+// kill-and-resume), and the metrics that make interrupted decodes
+// observable.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -643,67 +645,73 @@ TEST(SweepFingerprint, SensitiveToValuesNotSchedule) {
   EXPECT_EQ(experiment::sweep_fingerprint(other_threads, spec), base);
 }
 
+/// A single crash-safe sweep is shard 0 of 1, journaling into a fresh
+/// temp directory.
+experiment::ShardSpec one_shard(const std::string& stem) {
+  experiment::ShardSpec shard;
+  shard.journal_dir = (fs::temp_directory_path() /
+                       (stem + "-" + std::to_string(getpid())))
+                          .string();
+  fs::remove_all(shard.journal_dir);
+  return shard;
+}
+
+std::string journal_of(const experiment::ShardSpec& shard) {
+  return (fs::path(shard.journal_dir) / experiment::shard_journal_name(0, 1))
+      .string();
+}
+
+/// The journaled sweep's table, or "" when it returned none.
+std::string table_of(const std::optional<TextTable>& table) {
+  return table ? table->to_string() : std::string();
+}
+
 TEST(SweepCheckpoint, ResumeRecomputesOnlyMissingPoints) {
   const auto config = mini_config();
   const auto spec = mini_spec();
   const std::string clean = run_sweep(config, spec).to_string();
 
-  const std::string path = temp_path("sweep-cancel");
-  fs::remove(path);
+  auto shard = one_shard("sweep-cancel");
   CancellationToken token;
   std::size_t started = 0;
-  experiment::SweepControl control;
-  control.checkpoint.path = path;
-  control.cancel = &token;
   EXPECT_THROW(
-      run_sweep(config, spec,
-                [&](std::size_t, std::size_t, const std::string&) {
-                  if (++started > 2) token.cancel();
-                },
-                control),
+      run_sweep_shard(config, spec, shard,
+                      [&](std::size_t, std::size_t, const std::string&) {
+                        if (++started > 2) token.cancel();
+                      },
+                      &token),
       Cancelled);
 
   // Only the journaled points may be replayed; the rest recompute.
-  const auto loaded = load_checkpoint(path);
+  const auto loaded = load_checkpoint(journal_of(shard));
   EXPECT_LT(loaded.records.size(), spec.chaff_rates.size());
   EXPECT_GE(loaded.records.size(), 2u);
 
-  experiment::SweepControl resume;
-  resume.checkpoint.path = path;
-  resume.checkpoint.resume = true;
-  EXPECT_EQ(run_sweep(config, spec, {}, resume).to_string(), clean);
-  fs::remove(path);
+  shard.resume = true;
+  EXPECT_EQ(table_of(run_sweep_shard(config, spec, shard)), clean);
+  fs::remove_all(shard.journal_dir);
 }
 
 TEST(SweepCheckpoint, ResumeRejectsForeignCheckpoint) {
   const auto config = mini_config();
   const auto spec = mini_spec();
-  const std::string path = temp_path("sweep-foreign");
-  {
-    experiment::SweepControl control;
-    control.checkpoint.path = path;
-    run_sweep(config, spec, {}, control);
-  }
+  auto shard = one_shard("sweep-foreign");
+  run_sweep_shard(config, spec, shard);
   auto other = config;
   other.master_seed += 1;  // different sweep, same table shape
-  experiment::SweepControl resume;
-  resume.checkpoint.path = path;
-  resume.checkpoint.resume = true;
-  EXPECT_THROW(run_sweep(other, spec, {}, resume), IoError);
-  fs::remove(path);
+  shard.resume = true;
+  EXPECT_THROW(run_sweep_shard(other, spec, shard), IoError);
+  fs::remove_all(shard.journal_dir);
 }
 
 TEST(SweepCheckpoint, ResumeWithMissingFileStartsFresh) {
   const auto config = mini_config();
   const auto spec = mini_spec();
-  const std::string path = temp_path("sweep-missing");
-  fs::remove(path);
-  experiment::SweepControl resume;
-  resume.checkpoint.path = path;
-  resume.checkpoint.resume = true;
-  const std::string resumed = run_sweep(config, spec, {}, resume).to_string();
-  EXPECT_EQ(resumed, run_sweep(config, spec).to_string());
-  fs::remove(path);
+  auto shard = one_shard("sweep-missing");
+  shard.resume = true;
+  EXPECT_EQ(table_of(run_sweep_shard(config, spec, shard)),
+            run_sweep(config, spec).to_string());
+  fs::remove_all(shard.journal_dir);
 }
 
 /// The acceptance pin for crash safety: SIGKILL the process mid-sweep at
@@ -717,21 +725,17 @@ TEST(SweepCheckpoint, KillAndResumeReproducesTheTable) {
   const std::string clean = run_sweep(config, spec).to_string();
 
   for (const int kill_after : {1, 2, 3}) {
-    const std::string path =
-        temp_path("sweep-kill-" + std::to_string(kill_after));
-    fs::remove(path);
+    auto shard = one_shard("sweep-kill-" + std::to_string(kill_after));
 
     const pid_t pid = fork();
     ASSERT_GE(pid, 0) << "fork failed";
     if (pid == 0) {
-      // Child: run the checkpointed sweep with the SIGKILL injection
-      // armed.  threads=1 keeps the inline parallel_for path, so the
-      // child never touches the parent's (forked-away) thread pool.
-      experiment::SweepControl control;
-      control.checkpoint.path = path;
-      control.checkpoint.sigkill_after_points = kill_after;
+      // Child: run the journaled sweep with the SIGKILL injection armed.
+      // threads=1 keeps the inline parallel_for path, so the child never
+      // touches the parent's (forked-away) thread pool.
+      shard.sigkill_after_points = kill_after;
       try {
-        run_sweep(config, spec, {}, control);
+        run_sweep_shard(config, spec, shard);
       } catch (...) {
       }
       _exit(42);  // unreachable when the injection fires
@@ -744,15 +748,13 @@ TEST(SweepCheckpoint, KillAndResumeReproducesTheTable) {
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
     // The journal must hold exactly the points completed before the kill.
-    const auto loaded = load_checkpoint(path);
+    const auto loaded = load_checkpoint(journal_of(shard));
     EXPECT_EQ(loaded.records.size(), static_cast<std::size_t>(kill_after));
 
-    experiment::SweepControl resume;
-    resume.checkpoint.path = path;
-    resume.checkpoint.resume = true;
-    EXPECT_EQ(run_sweep(config, spec, {}, resume).to_string(), clean)
+    shard.resume = true;
+    EXPECT_EQ(table_of(run_sweep_shard(config, spec, shard)), clean)
         << "kill after " << kill_after << " points";
-    fs::remove(path);
+    fs::remove_all(shard.journal_dir);
   }
 }
 
@@ -765,16 +767,11 @@ TEST(SweepCheckpoint, TruncateEverywhereAlwaysResumes) {
   const auto spec = mini_spec();
   const std::string clean = run_sweep(config, spec).to_string();
 
-  const std::string path = temp_path("sweep-truncate");
-  fs::remove(path);
-  {
-    experiment::SweepControl control;
-    control.checkpoint.path = path;
-    run_sweep(config, spec, {}, control);
-  }
+  const auto shard = one_shard("sweep-truncate");
+  run_sweep_shard(config, spec, shard);
   std::string text;
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(journal_of(shard), std::ios::binary);
     text.assign(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
   }
@@ -782,19 +779,18 @@ TEST(SweepCheckpoint, TruncateEverywhereAlwaysResumes) {
   // to "only its newline missing".
   const std::size_t last_line_start = text.rfind('\n', text.size() - 2) + 1;
   for (std::size_t cut = last_line_start; cut < text.size(); ++cut) {
-    const std::string torn = temp_path("sweep-truncate-at");
+    auto torn = one_shard("sweep-truncate-at");
+    fs::create_directories(torn.journal_dir);
     {
-      std::ofstream out(torn, std::ios::trunc | std::ios::binary);
+      std::ofstream out(journal_of(torn), std::ios::trunc | std::ios::binary);
       out << text.substr(0, cut);
     }
-    experiment::SweepControl resume;
-    resume.checkpoint.path = torn;
-    resume.checkpoint.resume = true;
-    EXPECT_EQ(run_sweep(config, spec, {}, resume).to_string(), clean)
+    torn.resume = true;
+    EXPECT_EQ(table_of(run_sweep_shard(config, spec, torn)), clean)
         << "truncated at byte " << cut << " of " << text.size();
-    fs::remove(torn);
+    fs::remove_all(torn.journal_dir);
   }
-  fs::remove(path);
+  fs::remove_all(shard.journal_dir);
 }
 
 // ------------------------------------------------ parallel_for cancel ---

@@ -73,7 +73,10 @@ TEST(JsonParse, RejectsMalformedDocuments) {
       "\"\\u12\"", "\"\\u12G4\"", "\"\\u\"", "\"\\x\"",
       std::string("\"a\x01b\""), "\"a\tb\"", "\"a\nb\"", "\"open",
       "[1,]", "{\"a\":1,}", "[1,2]x", "{} {}", "tru", "nul", "True", "NaN",
-      "Infinity", "'a'", "{a:1}", ""};
+      "Infinity", "'a'", "{a:1}", "",
+      // Nesting past the limit is refused, not recursed into until the
+      // stack overflows.
+      std::string(100'000, '[') + std::string(100'000, ']')};
   for (const std::string& doc : malformed) {
     EXPECT_THROW(json::parse(doc), json::ParseError) << doc;
   }

@@ -31,10 +31,12 @@
 #      degradation ladder in Correlator::correlate under random
 #      per-attempt cost budgets), chaos_decode (self-cancelling tokens,
 #      pre-expired deadlines and allocation failures injected into one
-#      BatchDecoder attempt) and chaos_sweep (mid-sweep aborts,
-#      checkpoint tampering) — plus a CLI kill -9 + --resume round trip.
-#      The contract: clean error or correct result, never corruption
-#      (DESIGN.md §11);
+#      BatchDecoder attempt) and chaos_sweep (mid-sweep aborts and
+#      journal tampering on a one-shard journaled sweep) — plus a CLI
+#      kill -9 + --resume round trip on a --journal-dir sweep whose
+#      resumed table and merge-journals output must both cmp equal to the
+#      clean one.  The contract: clean error or correct result, never
+#      corruption (DESIGN.md §11, §15);
 #   7. streaming smoke: 1000 stream_parity oracle iterations under
 #      ASan/UBSan (incremental == batch, byte for byte — DESIGN.md §12),
 #      then an end-to-end `sscor_tool watch` replay of a generated corpus
@@ -56,7 +58,8 @@
 #  10. cluster sweep: 400 journal_merge oracle iterations under ASan/UBSan
 #      (tampered shard directories merge byte-identically or fail with a
 #      clean IoError), then a real 4-shard `sweep --shard i/N` run with
-#      one worker kill -9'd mid-run, resumed, merged via
+#      one worker kill -9'd mid-run, resumed, a `sweep` without --shard
+#      (shard 0 of 1) refused by the 4-way directory, merged via
 #      `merge-journals`, and cmp'd against the serial table
 #      (DESIGN.md §15).
 #  11. live-feed daemon: 1000 frame_parser oracle iterations under
@@ -167,14 +170,15 @@ step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   # random per-attempt cost budget, against one BatchDecoder attempt of
   # that tier; chaos_decode injects a probe-counted cancel, a pre-expired
   # deadline and/or an allocation budget into one BatchDecoder attempt;
-  # chaos_sweep aborts a sweep and tampers with its checkpoint.  Each
-  # asserts clean-error-or-correct-result.  Same seed => same cases on any
-  # machine.
+  # chaos_sweep aborts a one-shard journaled sweep and tampers with its
+  # journal.  Each asserts clean-error-or-correct-result.  Same seed =>
+  # same cases on any machine.
   "$asan_dir/tools/sscor_fuzz" \
     --oracle resilient_parity --oracle chaos_decode --oracle chaos_sweep \
     --iterations 1500 --seed 1 --artifacts "$asan_dir/chaos-artifacts"
-  # Real process death: SIGKILL the sweep after 2 journaled points, then
-  # --resume must reproduce the uncrashed table byte-for-byte.
+  # Real process death: SIGKILL a journaled sweep (shard 0 of 1) after 2
+  # journaled points, then --resume must reproduce the uncrashed table
+  # byte-for-byte, and so must merge-journals over the same directory.
   local chaos_dir
   chaos_dir="$(mktemp -d)"
   trap 'rm -rf "$chaos_dir"' RETURN
@@ -182,15 +186,18 @@ step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   "$tool" sweep --flows=4 --packets=600 --fp-pairs=4 --axis=chaff \
     --out="$chaos_dir/clean.csv" >/dev/null
   "$tool" sweep --flows=4 --packets=600 --fp-pairs=4 --axis=chaff \
-    --checkpoint="$chaos_dir/journal.jsonl" --kill-after=2 \
+    --journal-dir="$chaos_dir/journal" --kill-after=2 \
     >/dev/null 2>&1 && {
     echo "kill-after sweep was expected to die by SIGKILL" >&2
     return 1
   }
   "$tool" sweep --flows=4 --packets=600 --fp-pairs=4 --axis=chaff \
-    --checkpoint="$chaos_dir/journal.jsonl" --resume \
+    --journal-dir="$chaos_dir/journal" --resume \
     --out="$chaos_dir/resumed.csv" >/dev/null
   cmp "$chaos_dir/clean.csv" "$chaos_dir/resumed.csv"
+  "$tool" merge-journals --journal-dir="$chaos_dir/journal" \
+    --expect-shards=1 --out="$chaos_dir/merged.csv" >/dev/null
+  cmp "$chaos_dir/clean.csv" "$chaos_dir/merged.csv"
 }
 
 step_7() {  # streaming smoke: parity fuzz + watch e2e
@@ -349,6 +356,13 @@ step_10() {  # cluster sweep: journal-merge fuzz + 4-shard kill/resume/merge
   # ...and resuming the killed shard completes it.
   "$tool" sweep "${sweep_flags[@]}" --shard=2/4 --no-steal --resume \
     --journal-dir="$cluster_dir/journals" >/dev/null
+  # A worker that forgot --shard is shard 0 of 1: the 4-way directory must
+  # refuse it, before it writes a journal that would block the merge.
+  if "$tool" sweep "${sweep_flags[@]}" \
+    --journal-dir="$cluster_dir/journals" >/dev/null 2>&1; then
+    echo "sweep without --shard joined a 4-way journal directory" >&2
+    return 1
+  fi
   "$tool" merge-journals --journal-dir="$cluster_dir/journals" \
     --expect-shards=4 --out="$cluster_dir/merged.csv" >/dev/null
   cmp "$cluster_dir/serial.csv" "$cluster_dir/merged.csv"

@@ -16,9 +16,8 @@
 //                       [--axis chaff|delay] [--flows N] [--packets N]
 //                       [--fp-pairs N] [--seed S] [--threads N]
 //                       [--corpus interactive|tcplib] [--out table.csv]
-//                       [--checkpoint journal.jsonl] [--resume]
-//                       [--kill-after N] [--fsync]
-//                       [--shard I/N --journal-dir DIR] [--no-steal]
+//                       [--journal-dir DIR [--shard I/N] [--resume]
+//                        [--fsync] [--kill-after N] [--no-steal]]
 //   sscor_tool merge-journals --journal-dir DIR [--out table.csv]
 //                       [--expect-shards N]
 //   sscor_tool watch    --up marked.pcap --key secret.key --in capture.pcap
@@ -95,28 +94,28 @@
 // detect's --deadline-ms / --budget bound each pair's wall clock / each
 // attempt's packet accesses; when a decode blows its budget Correlator's
 // fallback ladder (BruteForce -> Greedy* -> Greedy+ -> Greedy) degrades to
-// a cheaper algorithm instead of hanging (DESIGN.md §11).  sweep's
-// --checkpoint journals each completed point to an append-only checksummed
-// JSONL file and --resume replays it, recomputing only missing points;
-// --kill-after N SIGKILLs the process after N points (crash testing).
+// a cheaper algorithm instead of hanging (DESIGN.md §11).
 //
-// sweep --shard I/N --journal-dir DIR is one worker of an N-process
-// cluster sweep (DESIGN.md §15): each worker journals its partition
-// (point % N == I, then opportunistic steals of points no live or dead
-// shard has completed or claimed; --no-steal disables stealing) into
-// DIR/shard-I-of-N.jsonl.  Whichever worker finds the directory complete
-// at exit prints the merged table — byte-identical to a serial run; a
-// worker that exits with other shards' points outstanding prints a notice
-// and exits 0.  merge-journals scans DIR after the fact and rebuilds the
-// table (--expect-shards asserts all N journals are present).  --fsync
-// forces every journal record to the platter (survives power loss, not
-// just process death) at a hefty throughput cost.
+// sweep --journal-dir DIR is crash-safe (DESIGN.md §15): each completed
+// point is journaled as one checksummed JSONL line into
+// DIR/shard-I-of-N.jsonl, and --resume computes only the missing points.
+// Without --shard the process is shard 0 of 1.  With --shard I/N it is one
+// worker of an N-process cluster: it journals its partition (point % N ==
+// I), then steals points no live or dead shard has completed or claimed
+// (--no-steal disables that).  Whichever worker finds the directory
+// complete prints the merged table — byte-identical to a sweep without
+// --journal-dir; the others print a notice and exit 0.  merge-journals
+// rebuilds the table after the fact (--expect-shards asserts all N
+// journals are present).  --fsync forces every record to the platter
+// (survives power loss, at a hefty throughput cost); --kill-after N
+// SIGKILLs the process after N records (crash testing).  A file of the
+// retired --checkpoint PATH flag resumes as DIR/shard-0-of-1.jsonl.
 //
-// Every command additionally accepts --metrics: print the run-metrics
-// registry (counters, timers, and histograms) to stderr on exit.  Commands
-// that run detection also accept --trace PATH (per-detect decode
-// introspection as JSONL) and --trace-spans PATH (span timings as Chrome
-// trace JSON, loadable in Perfetto / chrome://tracing).
+// Every command refuses a flag it does not read (exit 2) and accepts
+// --metrics (print the run-metrics registry to stderr on exit), --trace
+// PATH (per-detect decode introspection as JSONL) and --trace-spans PATH
+// (span timings as Chrome trace JSON, loadable in Perfetto /
+// chrome://tracing).  Numbers are decimal, or hex after 0x.
 //
 // generate -> embed -> perturb -> detect exercises the full system from
 // the shell; see README.md for a walkthrough.
@@ -124,6 +123,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -133,6 +133,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -198,9 +199,21 @@ class Args {
     return *v;
   }
 
-  /// Numeric flags parse strictly: a value that is not a complete number
-  /// ("6x", "", "--shards four") is an error, not a silent fallback to 0.
-  /// An absent flag (or a bare `--flag` with no value) takes `fallback`.
+  /// The first flag given that is not in `known`, if any.
+  std::optional<std::string> first_unknown(
+      const std::vector<std::string_view>& known) const {
+    for (const auto& [name, value] : values_) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        return name;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Numeric flags parse strictly, as decimal or as hex after "0x": a value
+  /// that is not a complete number ("6x", "", "--shards four") is an error,
+  /// not a silent fallback to 0, and a leading zero is not octal.  An
+  /// absent flag (or a bare `--flag` with no value) takes `fallback`.
   std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
     const auto v = get(name);
     if (!v || v->empty()) return fallback;
@@ -208,10 +221,13 @@ class Args {
       throw InvalidArgument("--" + name + " must be non-negative, got \"" +
                             *v + "\"");
     }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
-    if (errno != 0 || end == v->c_str() || *end != '\0') {
+    const bool hex = v->starts_with("0x") || v->starts_with("0X");
+    const char* const first = v->data() + (hex ? 2 : 0);
+    const char* const last = v->data() + v->size();
+    std::uint64_t parsed = 0;
+    const auto [end, error] =
+        std::from_chars(first, last, parsed, hex ? 16 : 10);
+    if (error != std::errc() || end != last) {
       throw InvalidArgument("--" + name + " expects an integer, got \"" + *v +
                             "\"");
     }
@@ -472,37 +488,19 @@ experiment::Metric parse_metric(const std::string& name) {
 }
 
 /// Strictly parses "I/N" (decimal, no signs or spaces, I < N, N >= 1).
-experiment::ShardSpec parse_shard(const std::string& value,
-                                  const std::string& journal_dir) {
-  const auto bad = [&]() {
-    throw InvalidArgument("--shard expects I/N with I < N, got \"" + value +
-                          "\"");
-  };
-  const auto slash = value.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 == value.size()) {
-    bad();
-  }
-  const auto digits = [](const std::string& s) {
-    if (s.empty()) return false;
-    for (const char c : s) {
-      if (c < '0' || c > '9') return false;
-    }
-    return true;
-  };
-  const std::string index_str = value.substr(0, slash);
-  const std::string count_str = value.substr(slash + 1);
-  if (!digits(index_str) || !digits(count_str)) bad();
-  errno = 0;
-  const unsigned long long index = std::strtoull(index_str.c_str(), nullptr, 10);
-  const unsigned long long count = std::strtoull(count_str.c_str(), nullptr, 10);
-  if (errno != 0 || count == 0 || index >= count) bad();
-
+experiment::ShardSpec parse_shard(const std::string& value) {
   experiment::ShardSpec shard;
-  shard.index = static_cast<std::size_t>(index);
-  shard.count = static_cast<std::size_t>(count);
-  shard.journal_dir = journal_dir;
-  return shard;
+  const char* const last = value.data() + value.size();
+  const auto index = std::from_chars(value.data(), last, shard.index);
+  if (index.ec == std::errc() && index.ptr != last && *index.ptr == '/') {
+    const auto count = std::from_chars(index.ptr + 1, last, shard.count);
+    if (count.ec == std::errc() && count.ptr == last &&
+        shard.index < shard.count) {
+      return shard;
+    }
+  }
+  throw InvalidArgument("--shard expects I/N with I < N, got \"" + value +
+                        "\"");
 }
 
 int cmd_sweep(const Args& args) {
@@ -530,62 +528,47 @@ int cmd_sweep(const Args& args) {
     throw InvalidArgument("unknown axis: " + axis);
   }
 
-  experiment::SweepControl control;
-  control.checkpoint.path = args.get("checkpoint").value_or("");
-  control.checkpoint.resume = args.flag("resume");
-  control.checkpoint.fsync = args.flag("fsync");
-  if (args.flag("kill-after")) {
-    control.checkpoint.sigkill_after_points =
-        static_cast<std::int64_t>(args.u64("kill-after", 0));
-  }
-
-  const std::string journal_dir = args.get("journal-dir").value_or("");
-  const bool sharded = args.flag("shard");
-  if (sharded != !journal_dir.empty()) {
-    throw InvalidArgument("--shard I/N and --journal-dir DIR go together");
-  }
-  if (sharded && control.checkpoint.enabled()) {
-    throw InvalidArgument(
-        "--checkpoint PATH is for single-process sweeps; sharded journals "
-        "live under --journal-dir");
-  }
-  if (control.checkpoint.resume && !sharded &&
-      !control.checkpoint.enabled()) {
-    throw InvalidArgument("--resume requires --checkpoint PATH");
-  }
-
   const auto progress = [](std::size_t index, std::size_t count,
                            const std::string& label) {
     std::fprintf(stderr, "[%zu/%zu] %s\n", index + 1, count, label.c_str());
   };
 
-  if (sharded) {
-    experiment::ShardSpec shard =
-        parse_shard(args.require_str("shard"), journal_dir);
-    shard.steal = !args.flag("no-steal");
-    const auto table =
-        experiment::run_sweep_shard(config, spec, shard, progress, control);
-    if (table) {
-      std::printf("%s", table->to_string().c_str());
-      if (const auto out = args.get("out"); out && !out->empty()) {
-        table->write_csv(*out);
-        std::fprintf(stderr, "csv written: %s\n", out->c_str());
+  const std::string journal_dir = args.get("journal-dir").value_or("");
+  std::optional<TextTable> table;
+  if (journal_dir.empty()) {
+    for (const char* name :
+         {"shard", "resume", "fsync", "kill-after", "no-steal"}) {
+      if (args.flag(name)) {
+        throw InvalidArgument(std::string("--") + name +
+                              " requires --journal-dir DIR");
       }
-    } else {
+    }
+    table = experiment::run_sweep(config, spec, progress);
+  } else {
+    experiment::ShardSpec shard = args.flag("shard")
+                                      ? parse_shard(args.require_str("shard"))
+                                      : experiment::ShardSpec{};
+    shard.journal_dir = journal_dir;
+    shard.steal = !args.flag("no-steal");
+    shard.resume = args.flag("resume");
+    shard.fsync = args.flag("fsync");
+    if (args.flag("kill-after")) {
+      shard.sigkill_after_points =
+          static_cast<std::int64_t>(args.u64("kill-after", 0));
+    }
+    table = experiment::run_sweep_shard(config, spec, shard, progress);
+    if (!table) {
       std::fprintf(stderr,
                    "shard %zu/%zu done; other shards still own outstanding "
                    "points — merge later with: sscor_tool merge-journals "
                    "--journal-dir %s\n",
                    shard.index, shard.count, journal_dir.c_str());
+      return 0;
     }
-    return 0;
   }
-
-  const TextTable table =
-      experiment::run_sweep(config, spec, progress, control);
-  std::printf("%s", table.to_string().c_str());
+  std::printf("%s", table->to_string().c_str());
   if (const auto out = args.get("out"); out && !out->empty()) {
-    table.write_csv(*out);
+    table->write_csv(*out);
     std::fprintf(stderr, "csv written: %s\n", out->c_str());
   }
   return 0;
@@ -1180,43 +1163,69 @@ int usage() {
   return 2;
 }
 
+/// Every command with the flags it reads.  Any other flag is a usage
+/// error, so a typo or a retired flag stops the run instead of being
+/// silently ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command> kCommands = {
+    {"generate", cmd_generate, {"out", "flows", "packets", "seed", "corpus"}},
+    {"stats", cmd_stats, {"in"}},
+    {"embed", cmd_embed, {"in", "out", "key-out", "flow-index", "key", "bits",
+                          "redundancy", "delay-ms"}},
+    {"perturb", cmd_perturb, {"in", "out", "max-delay-s", "chaff", "seed"}},
+    {"detect", cmd_detect, {"up", "down", "key", "algorithm", "max-delay-s",
+                            "threshold", "robust", "deadline-ms", "budget"}},
+    {"sweep", cmd_sweep, {"metric", "axis", "flows", "packets", "fp-pairs",
+                          "seed", "threads", "corpus", "out", "journal-dir",
+                          "shard", "resume", "fsync", "kill-after",
+                          "no-steal"}},
+    {"merge-journals", cmd_merge_journals,
+     {"journal-dir", "out", "expect-shards"}},
+    {"watch", cmd_watch, {"up", "key", "in", "feed", "speed", "connect",
+                          "reconnect-max", "backoff-ms", "backoff-max-ms",
+                          "backoff-seed", "read-timeout-ms", "state-dir",
+                          "resume", "snapshot-interval", "fsync",
+                          "kill-after-verdicts", "algorithm", "max-delay-s",
+                          "threshold", "shards", "threads", "batch",
+                          "min-packets", "no-early-exit", "max-flows",
+                          "max-buffered-packets", "ttl-s", "deadline-ms",
+                          "budget", "metrics-json", "metrics-interval",
+                          "stats-addr", "event-log", "linger-s"}},
+    {"feed", cmd_feed, {"in", "feed", "heartbeat-every", "drop-after-frames",
+                        "pace-us"}},
+    {"chaos-proxy", cmd_chaos_proxy, {"upstream", "fault-rate", "seed",
+                                      "max-upstream-failures"}},
+    {"top", cmd_top, {"addr", "interval-ms", "count", "no-clear", "retries"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string_view name = argv[1];
+  const auto command =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == kCommands.end()) return usage();
   try {
     const Args args(argc, argv, 2);
+    std::vector<std::string_view> known = command->flags;
+    known.insert(known.end(), {"metrics", "trace", "trace-spans"});
+    if (const auto unknown = args.first_unknown(known)) {
+      std::fprintf(stderr, "error: unknown flag --%s for %s\n",
+                   unknown->c_str(), argv[1]);
+      return usage();
+    }
     const auto trace_path = args.get("trace");
     const auto trace_spans_path = args.get("trace-spans");
     if (trace_path) trace::set_decode_enabled(true);
     if (trace_spans_path) trace::set_spans_enabled(true);
-    int rc;
-    if (command == "generate") {
-      rc = cmd_generate(args);
-    } else if (command == "stats") {
-      rc = cmd_stats(args);
-    } else if (command == "embed") {
-      rc = cmd_embed(args);
-    } else if (command == "perturb") {
-      rc = cmd_perturb(args);
-    } else if (command == "detect") {
-      rc = cmd_detect(args);
-    } else if (command == "sweep") {
-      rc = cmd_sweep(args);
-    } else if (command == "merge-journals") {
-      rc = cmd_merge_journals(args);
-    } else if (command == "watch") {
-      rc = cmd_watch(args);
-    } else if (command == "feed") {
-      rc = cmd_feed(args);
-    } else if (command == "chaos-proxy") {
-      rc = cmd_chaos_proxy(args);
-    } else if (command == "top") {
-      rc = cmd_top(args);
-    } else {
-      return usage();
-    }
+    const int rc = command->run(args);
     if (trace_path && !trace_path->empty()) {
       trace::write_decode_jsonl(*trace_path);
       std::fprintf(stderr, "decode trace written: %s (%zu records)\n",
