@@ -4,10 +4,10 @@
 #include <span>
 #include <vector>
 
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/util/cancellation.hpp"
 #include "sscor/util/trace.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/decoder.hpp"
 
 namespace sscor {
@@ -17,22 +17,13 @@ class BruteForceSearch {
  public:
   BruteForceSearch(const DecodePlan& plan, const CandidateSets& sets,
                    std::span<const TimeUs> down_ts, CostMeter& cost,
-                   CancelProbe& probe, std::uint32_t threshold,
-                   bool stop_at_threshold)
+                   CancelProbe& probe)
       : plan_(plan),
         sets_(sets),
         down_ts_(down_ts),
         cost_(cost),
-        probe_(probe),
-        threshold_(threshold),
-        stop_at_threshold_(stop_at_threshold) {
-    // Map upstream packet index -> slot (at most one; pairs are disjoint).
-    slot_of_.assign(sets.upstream_size(),
-                    std::numeric_limits<std::uint32_t>::max());
-    for (std::uint32_t s = 0; s < plan.slots().size(); ++s) {
-      slot_of_[plan.slots()[s].up_index] = s;
-    }
-    slot_down_index_.assign(plan.slots().size(), 0);
+        probe_(probe) {
+    slot_down_index_.assign(plan.slot_count(), 0);
     leaf_bits_.resize(plan.bit_count());
     best_hamming_ = std::numeric_limits<std::uint32_t>::max();
   }
@@ -49,13 +40,13 @@ class BruteForceSearch {
 
  private:
   void dfs(std::size_t i, std::int64_t prev) {
-    if (bound_hit_ || done_ || interrupted_) return;
+    if (bound_hit_ || interrupted_) return;
     if (i == sets_.upstream_size()) {
       evaluate_leaf();
       return;
     }
     const auto set = sets_.set(i);
-    const std::uint32_t slot = slot_of_[i];
+    const std::uint32_t slot = plan_.slot_of(i);
     for (const std::uint32_t candidate : set) {
       cost_.count();
       if (cost_.exhausted()) {
@@ -67,11 +58,9 @@ class BruteForceSearch {
         return;
       }
       if (static_cast<std::int64_t>(candidate) <= prev) continue;
-      if (slot != std::numeric_limits<std::uint32_t>::max()) {
-        slot_down_index_[slot] = candidate;
-      }
+      if (slot != DecodePlan::kNoSlot) slot_down_index_[slot] = candidate;
       dfs(i + 1, candidate);
-      if (bound_hit_ || done_ || interrupted_) return;
+      if (bound_hit_ || interrupted_) return;
     }
   }
 
@@ -80,21 +69,19 @@ class BruteForceSearch {
     for (std::uint32_t bit = 0; bit < plan_.bit_count(); ++bit) {
       DurationUs sum = 0;
       for (std::uint32_t pair = 0; pair < plan_.pairs_per_bit(); ++pair) {
-        const PairSlots& ps = plan_.pair_slots(bit, pair);
+        const std::size_t p = std::size_t{bit} * plan_.pairs_per_bit() + pair;
         cost_.count(2);
-        const DurationUs ipd = down_ts_[slot_down_index_[ps.second_slot]] -
-                               down_ts_[slot_down_index_[ps.first_slot]];
-        sum += ps.group1 ? ipd : -ipd;
+        const DurationUs ipd =
+            down_ts_[slot_down_index_[plan_.pair_second_slot()[p]]] -
+            down_ts_[slot_down_index_[plan_.pair_first_slot()[p]]];
+        sum += plan_.pair_sign()[p] * ipd;
       }
       leaf_bits_[bit] = decode_bit(sum);
-      hamming += leaf_bits_[bit] != plan_.target().bit(bit);
+      hamming += leaf_bits_[bit] != plan_.target_bits()[bit];
     }
     if (hamming < best_hamming_) {
       best_hamming_ = hamming;
       best_watermark_ = Watermark(leaf_bits_);
-      if (stop_at_threshold_ && best_hamming_ <= threshold_) {
-        done_ = true;
-      }
     }
   }
 
@@ -103,9 +90,6 @@ class BruteForceSearch {
   std::span<const TimeUs> down_ts_;
   CostMeter& cost_;
   CancelProbe& probe_;
-  std::uint32_t threshold_;
-  bool stop_at_threshold_;
-  std::vector<std::uint32_t> slot_of_;
   std::vector<std::uint32_t> slot_down_index_;
   /// Per-leaf decode scratch, reused across the exponential enumeration so
   /// each leaf costs no allocation.
@@ -113,7 +97,6 @@ class BruteForceSearch {
   std::uint32_t best_hamming_ = 0;
   Watermark best_watermark_;
   bool bound_hit_ = false;
-  bool done_ = false;
   bool interrupted_ = false;
 };
 
@@ -146,9 +129,7 @@ CorrelationResult run_brute_force(const KeySchedule& schedule,
 
   const DecodePlan plan(schedule, target);
   std::span<const TimeUs> down_ts = downstream.timestamps();
-  BruteForceSearch search(plan, sets, down_ts, cost, probe,
-                          config.hamming_threshold,
-                          options.stop_at_threshold);
+  BruteForceSearch search(plan, sets, down_ts, cost, probe);
   {
     TRACE_SPAN("correlate.bf_enum");
     search.run();

@@ -5,7 +5,10 @@
 // Hamming distance found is exact.  Cost is ~prod |M(p_i)| — exponential —
 // so it serves as small-scale ground truth for the other algorithms (the
 // property suite checks Greedy's lower bound and Greedy*'s optimality
-// against it) rather than as a practical correlator.
+// against it) rather than as a practical correlator.  The enumeration
+// always runs to the exact optimum, so the `differential` oracle can use it
+// as ground truth.  The batched engine's port (matching/batch_kernel.hpp)
+// decodes exactly like this runner with its default options.
 
 #pragma once
 
@@ -16,15 +19,12 @@
 
 namespace sscor {
 
+/// The one option, for tests: production decodes always prune.
 struct BruteForceOptions {
   /// Apply the phase-1 pruning before enumerating.  Pruning removes only
   /// candidates that occur in no complete assignment, so the optimum is
   /// unchanged; disabling it is useful for validating pruning itself.
   bool prune = true;
-  /// Stop as soon as a watermark within the Hamming threshold is found
-  /// (enough for the correlation decision); disable to certify the exact
-  /// optimum.
-  bool stop_at_threshold = false;
 };
 
 CorrelationResult run_brute_force(const KeySchedule& schedule,

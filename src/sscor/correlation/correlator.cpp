@@ -10,6 +10,7 @@
 #include "sscor/util/error.hpp"
 #include "sscor/util/metrics.hpp"
 #include "sscor/util/trace.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 
 namespace sscor {
 namespace {
@@ -167,13 +168,13 @@ CorrelationResult decode_attempt(const CorrelatorConfig& config,
                                  Algorithm algorithm,
                                  const WatermarkedFlow& watermarked,
                                  const Flow& suspicious,
-                                 const MatchContext& context) {
+                                 const MatchContext& context,
+                                 const DecodePlan& plan) {
   TRACE_SPAN("correlate");
   const LatencyFlusher latency_guard;
   batch::BatchDecoder decoder(config);
-  const CorrelationResult result = decoder.decode_one(
-      algorithm, context,
-      batch::DecodeHypothesis{&watermarked.schedule, &watermarked.watermark});
+  const CorrelationResult result =
+      decoder.decode_one(algorithm, context, plan);
   record_run_metrics(result);
   if (trace::decode_enabled()) {
     record_decode_trace(to_string(result.algorithm), watermarked.watermark,
@@ -219,6 +220,11 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
     context = &*local;
   }
 
+  // One plan serves every tier.  It lives in per-thread storage that each
+  // call rebuilds in place, so a warm call allocates only its result.
+  thread_local DecodePlan plan;
+  plan.build(watermarked.schedule, watermarked.watermark);
+
   // With no budget nothing can interrupt a decode: the ladder is the
   // configured algorithm alone.
   const std::span<const Algorithm> ladder =
@@ -232,7 +238,7 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
     if (last) attempt.budget = DecodeBudget{.token = config_.budget.token};
     CorrelationResult result = decode_attempt(attempt, ladder[depth],
                                               watermarked, suspicious,
-                                              *context);
+                                              *context, plan);
     const bool cancelled = result.stop_reason == StopReason::kCancelled;
     if (last || !result.interrupted || cancelled) {
       static metrics::Counter& degraded_runs =

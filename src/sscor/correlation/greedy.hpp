@@ -16,21 +16,25 @@
 
 #pragma once
 
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/result.hpp"
 #include "sscor/flow/flow.hpp"
+#include "sscor/watermark/key_schedule.hpp"
+#include "sscor/watermark/watermark.hpp"
 
 namespace sscor {
 
-/// Runs Greedy.  `upstream` is the watermarked upstream flow the schedule
-/// indexes into; `downstream` the suspicious flow.
+/// Runs Greedy for `target` over `schedule`.  `upstream` is the
+/// watermarked upstream flow the schedule indexes into; `downstream` the
+/// suspicious flow.  Like the other three scalar runners, it builds its own
+/// DecodePlan.
 ///
 /// This scalar runner is the reference for Greedy's cost model, the ~4rl
 /// binary-search window probes (fig. 7).  The batched engine decodes Greedy
 /// from a MatchContext's scan output instead and charges the same probes
 /// (lower_bound_probes of each window bound); the parity suite compares
 /// the two.
-CorrelationResult run_greedy(const DecodePlan& plan, const Flow& upstream,
+CorrelationResult run_greedy(const KeySchedule& schedule,
+                             const Watermark& target, const Flow& upstream,
                              const Flow& downstream,
                              const CorrelatorConfig& config);
 

@@ -68,13 +68,13 @@ std::unique_ptr<MatchedDecode> run_shared_phases(
 
   // Phase 2: Greedy on the pruned sets.
   TRACE_SPAN("correlate.greedy");
-  md->plan = std::make_unique<DecodePlan>(schedule, target);
-  md->state = std::make_unique<SelectionState>(*md->plan, md->sets,
+  md->plan.build(schedule, target);
+  md->state = std::make_unique<SelectionState>(md->plan, md->sets,
                                                md->down_ts, md->cost);
   if (probe.should_stop(md->cost.accesses())) return interrupted_early();
-  md->never_match.assign(md->plan->bit_count(), false);
+  md->never_match.assign(md->plan.bit_count(), false);
   std::uint32_t greedy_hamming = 0;
-  for (std::uint32_t bit = 0; bit < md->plan->bit_count(); ++bit) {
+  for (std::uint32_t bit = 0; bit < md->plan.bit_count(); ++bit) {
     if (!md->state->bit_matches(bit)) {
       md->never_match[bit] = true;
       ++greedy_hamming;
@@ -151,7 +151,7 @@ CorrelationResult run_greedy_plus(const KeySchedule& schedule,
   for (const std::uint32_t bit : fixable) {
     if (probe.should_stop(md->cost.accesses())) break;
     if (state.bit_matches(bit)) continue;  // flipped by an earlier cascade
-    const auto slots = md->plan->bit_slots(bit);
+    const auto slots = md->plan.bit_slots(bit);
     for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
       const std::uint32_t slot = *it;
       // Paper step 1: a slot still at its greedy choice cannot move closer

@@ -22,12 +22,12 @@
 #include <optional>
 #include <vector>
 
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/result.hpp"
 #include "sscor/correlation/selection.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/util/cancellation.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/key_schedule.hpp"
 
 namespace sscor {
@@ -46,7 +46,7 @@ struct MatchedDecode {
   std::span<const TimeUs> down_ts;
   /// The pruned sets phase 2+ decodes from.
   CandidateSets sets;
-  std::unique_ptr<DecodePlan> plan;
+  DecodePlan plan;
   std::unique_ptr<SelectionState> state;
   /// Bits even Greedy cannot match; no selection can fix them.
   std::vector<bool> never_match;

@@ -89,11 +89,12 @@ class StarEnumerator {
     for (const std::uint32_t bit : free_bits_) {
       DurationUs sum = 0;
       for (std::uint32_t pair = 0; pair < plan_.pairs_per_bit(); ++pair) {
-        const PairSlots& ps = plan_.pair_slots(bit, pair);
-        const DurationUs ipd = ts_of(ps.second_slot) - ts_of(ps.first_slot);
-        sum += ps.group1 ? ipd : -ipd;
+        const std::size_t p = std::size_t{bit} * plan_.pairs_per_bit() + pair;
+        const DurationUs ipd = ts_of(plan_.pair_second_slot()[p]) -
+                               ts_of(plan_.pair_first_slot()[p]);
+        sum += plan_.pair_sign()[p] * ipd;
       }
-      mismatches += decode_bit(sum) != plan_.target().bit(bit);
+      mismatches += decode_bit(sum) != plan_.target_bits()[bit];
     }
     return mismatches;
   }
@@ -179,13 +180,13 @@ CorrelationResult run_greedy_star(const KeySchedule& schedule,
   }
   std::vector<std::uint32_t> free_slots;
   for (const std::uint32_t bit : free_bits) {
-    const auto slots = md->plan->bit_slots(bit);
+    const auto slots = md->plan.bit_slots(bit);
     free_slots.insert(free_slots.end(), slots.begin(), slots.end());
   }
   std::sort(free_slots.begin(), free_slots.end());
 
   std::uint32_t fixed_mismatches = 0;
-  for (std::uint32_t bit = 0; bit < md->plan->bit_count(); ++bit) {
+  for (std::uint32_t bit = 0; bit < md->plan.bit_count(); ++bit) {
     if (!state.bit_matches(bit) &&
         std::find(free_bits.begin(), free_bits.end(), bit) ==
             free_bits.end()) {
@@ -193,7 +194,7 @@ CorrelationResult run_greedy_star(const KeySchedule& schedule,
     }
   }
 
-  StarEnumerator enumerator(state, *md->plan, md->down_ts, md->cost, probe,
+  StarEnumerator enumerator(state, md->plan, md->down_ts, md->cost, probe,
                             std::move(free_slots), free_bits,
                             fixed_mismatches, config.hamming_threshold);
   {

@@ -15,12 +15,7 @@ bool requires_complete_matching(Algorithm algorithm) {
 
 OnlineUpstream::OnlineUpstream(WatermarkedFlow watermarked)
     : watermarked_(std::move(watermarked)),
-      plan_(watermarked_.schedule, watermarked_.watermark) {
-  slot_of_.assign(watermarked_.flow.size(), kNoSlot);
-  for (std::uint32_t s = 0; s < plan_.slots().size(); ++s) {
-    slot_of_[plan_.slots()[s].up_index] = s;
-  }
-}
+      plan_(watermarked_.schedule, watermarked_.watermark) {}
 
 OnlineCorrelator::OnlineCorrelator(WatermarkedFlow watermarked,
                                    CorrelatorConfig config,
@@ -129,15 +124,13 @@ void OnlineCorrelator::finalize_window(std::uint32_t index) {
     early_rejected_ = true;
     return;
   }
-  if (upstream_->slot_of()[index] != OnlineUpstream::kNoSlot) {
-    check_bit_of(index);
-  }
+  const DecodePlan& plan = upstream_->plan();
+  const std::uint32_t slot = plan.slot_of(index);
+  if (slot != DecodePlan::kNoSlot) check_bit(plan.slot_bit()[slot]);
 }
 
-void OnlineCorrelator::check_bit_of(std::uint32_t up_index) {
+void OnlineCorrelator::check_bit(std::uint32_t bit) {
   const DecodePlan& plan = upstream_->plan();
-  const std::uint32_t slot = upstream_->slot_of()[up_index];
-  const std::uint16_t bit = plan.slots()[slot].bit;
   if (bit_checked_[bit]) return;
   const auto slots_of_bit = plan.bit_slots(bit);
   if (++final_slots_per_bit_[bit] < slots_of_bit.size()) return;
@@ -146,25 +139,26 @@ void OnlineCorrelator::check_bit_of(std::uint32_t up_index) {
   // Greedy bound over the (now final) windows: if even the per-pair
   // extremes cannot decode this bit as its target value, no selection ever
   // will.
+  const auto slot_up = plan.slot_up();
+  const auto prefer = plan.slot_prefer();
   DurationUs extreme = 0;
   bool any_pair = false;
   for (std::uint32_t pair = 0; pair < plan.pairs_per_bit(); ++pair) {
-    const PairSlots& ps = plan.pair_slots(bit, pair);
-    const SlotInfo& first = plan.slots()[ps.first_slot];
-    const SlotInfo& second = plan.slots()[ps.second_slot];
-    const MatchWindow& wf = windows_[first.up_index];
-    const MatchWindow& ws = windows_[second.up_index];
+    const std::size_t p = std::size_t{bit} * plan.pairs_per_bit() + pair;
+    const std::uint32_t first = plan.pair_first_slot()[p];
+    const std::uint32_t second = plan.pair_second_slot()[p];
+    const MatchWindow& wf = windows_[slot_up[first]];
+    const MatchWindow& ws = windows_[slot_up[second]];
     if (wf.empty() || ws.empty()) continue;
     const TimeUs t_first =
-        downstream_->timestamp(first.prefer_earliest ? wf.lo : wf.hi - 1);
+        downstream_->timestamp(prefer[first] ? wf.lo : wf.hi - 1);
     const TimeUs t_second =
-        downstream_->timestamp(second.prefer_earliest ? ws.lo : ws.hi - 1);
-    const DurationUs ipd = t_second - t_first;
-    extreme += ps.group1 ? ipd : -ipd;
+        downstream_->timestamp(prefer[second] ? ws.lo : ws.hi - 1);
+    extreme += plan.pair_sign()[p] * (t_second - t_first);
     any_pair = true;
   }
-  const std::uint8_t target = plan.target().bit(bit);
-  const bool matchable = any_pair && decode_bit(extreme) == target;
+  const bool matchable =
+      any_pair && decode_bit(extreme) == plan.target_bits()[bit];
   if (!matchable) {
     ++doomed_bits_;
     if (doomed_bits_ > config_.hamming_threshold) {

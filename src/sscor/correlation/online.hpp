@@ -43,18 +43,18 @@
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/matching/match_windows.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/embedder.hpp"
 
 namespace sscor {
 
 /// The immutable per-upstream half of an online decode, shared by every
-/// pair tracking the same watermarked flow: the flow itself, its decode
-/// plan, and the upstream-index -> slot mapping.  Building these once per
-/// upstream (instead of once per pair) is what the streaming flow table
-/// relies on.
+/// pair tracking the same watermarked flow: the flow itself and its decode
+/// plan, which also maps upstream indices to slots.  Building these once
+/// per upstream (instead of once per pair) is what the streaming flow
+/// table relies on.
 class OnlineUpstream {
  public:
   explicit OnlineUpstream(WatermarkedFlow watermarked);
@@ -64,15 +64,10 @@ class OnlineUpstream {
   std::span<const TimeUs> timestamps() const {
     return watermarked_.flow.timestamps();
   }
-  /// Slot id of upstream packet i, or kNoSlot when it carries no bit.
-  std::span<const std::uint32_t> slot_of() const { return slot_of_; }
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
  private:
   WatermarkedFlow watermarked_;
   DecodePlan plan_;
-  std::vector<std::uint32_t> slot_of_;
 };
 
 struct OnlineOptions {
@@ -142,7 +137,7 @@ class OnlineCorrelator {
  private:
   void process(std::uint32_t j, const PacketRecord& packet);
   void finalize_window(std::uint32_t index);
-  void check_bit_of(std::uint32_t up_index);
+  void check_bit(std::uint32_t bit);
 
   std::shared_ptr<const OnlineUpstream> upstream_;
   std::shared_ptr<const AppendOnlyFlow> downstream_;

@@ -5,10 +5,10 @@
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/util/cancellation.hpp"
 #include "sscor/util/trace.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/decoder.hpp"
 
 namespace sscor {
@@ -26,30 +26,19 @@ std::uint8_t decode_bit_robust(const DecodePlan& plan, std::uint32_t bit,
   DurationUs sum = 0;
   bool any = false;
   for (std::uint32_t pair = 0; pair < plan.pairs_per_bit(); ++pair) {
-    const PairSlots& ps = plan.pair_slots(bit, pair);
-    if (choice[ps.first_slot] == kMissing ||
-        choice[ps.second_slot] == kMissing) {
-      continue;
-    }
+    const std::size_t p = std::size_t{bit} * plan.pairs_per_bit() + pair;
+    const std::uint32_t first = plan.pair_first_slot()[p];
+    const std::uint32_t second = plan.pair_second_slot()[p];
+    if (choice[first] == kMissing || choice[second] == kMissing) continue;
     cost.count(2);
-    const DurationUs ipd =
-        down_ts[choice[ps.second_slot]] - down_ts[choice[ps.first_slot]];
-    sum += ps.group1 ? ipd : -ipd;
+    sum += plan.pair_sign()[p] * (down_ts[choice[second]] -
+                                  down_ts[choice[first]]);
     any = true;
   }
   if (!any) {
-    return static_cast<std::uint8_t>(1 - plan.target().bit(bit));
+    return static_cast<std::uint8_t>(1 - plan.target_bits()[bit]);
   }
   return decode_bit(sum);
-}
-
-std::uint32_t hamming_of(const DecodePlan& plan,
-                         const std::vector<std::uint8_t>& bits) {
-  std::uint32_t distance = 0;
-  for (std::uint32_t b = 0; b < plan.bit_count(); ++b) {
-    distance += bits[b] != plan.target().bit(b);
-  }
-  return distance;
 }
 
 CorrelationResult run_robust_impl(const KeySchedule& schedule,
@@ -63,15 +52,16 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
   CancelProbe probe(config.budget);
   CorrelationResult result;
   result.algorithm = Algorithm::kGreedyPlus;
+  const DecodePlan plan(schedule, target);
 
   // Best-so-far exit shared by the probe checks below: whatever `bits`
   // currently holds decodes cleanly (missing choices already read as
   // unformable pairs), so an interrupted run is merely less repaired.
-  auto interrupted_at = [&](std::vector<std::uint8_t> bits,
-                            const DecodePlan* plan) {
-    if (plan != nullptr && !bits.empty()) {
-      result.hamming = hamming_of(*plan, bits);
+  auto interrupted_at = [&](std::vector<std::uint8_t> bits) {
+    if (!bits.empty()) {
       result.best_watermark = Watermark(std::move(bits));
+      result.hamming = static_cast<std::uint32_t>(
+          result.best_watermark.hamming_distance(target));
       result.correlated = result.hamming <= config.hamming_threshold;
     } else {
       result.correlated = false;
@@ -103,22 +93,20 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
     return result;
   }
 
-  if (probe.should_stop(cost.accesses())) {
-    return interrupted_at({}, nullptr);
-  }
+  if (probe.should_stop(cost.accesses())) return interrupted_at({});
 
-  const DecodePlan plan(schedule, target);
   std::span<const TimeUs> down_ts = downstream.timestamps();
-  const auto slots = plan.slots();
+  const auto slot_up = plan.slot_up();
+  const auto prefer = plan.slot_prefer();
 
   // Phase 2: greedy on the pruned sets (per-bit extremes), skipping
   // missing slots.  Interrupted slots stay kMissing — still decodable.
-  std::vector<std::uint32_t> choice(slots.size(), kMissing);
-  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+  std::vector<std::uint32_t> choice(plan.slot_count(), kMissing);
+  for (std::uint32_t s = 0; s < plan.slot_count(); ++s) {
     if (probe.should_stop(cost.accesses())) break;
-    const auto set = sets.set(slots[s].up_index);
+    const auto set = sets.set(slot_up[s]);
     if (set.empty()) continue;
-    choice[s] = slots[s].prefer_earliest ? set.front() : set.back();
+    choice[s] = prefer[s] ? set.front() : set.back();
     cost.count();
   }
   std::vector<std::uint8_t> greedy_bits(plan.bit_count());
@@ -128,7 +116,7 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
     greedy_hamming += greedy_bits[bit] != target.bit(bit);
   }
   if (probe.stopped()) {
-    return interrupted_at(std::move(greedy_bits), &plan);
+    return interrupted_at(std::move(greedy_bits));
   }
   if (greedy_hamming > config.hamming_threshold) {
     result.correlated = false;
@@ -141,19 +129,19 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
   // Phase 3: order repair over the surviving slots (backward pass; keep
   // first-matches, re-point last-matches below the successor's choice).
   std::int64_t bound = std::numeric_limits<std::int64_t>::max();
-  for (std::uint32_t s = slots.size(); s-- > 0;) {
+  for (std::uint32_t s = plan.slot_count(); s-- > 0;) {
     if (probe.should_stop(cost.accesses())) {
       // Abandoning the backward pass mid-way leaves a prefix that is not
       // yet order-repaired; fall back to the (always consistent) greedy
       // decode rather than a half-repaired mixture.
-      return interrupted_at(std::move(greedy_bits), &plan);
+      return interrupted_at(std::move(greedy_bits));
     }
     if (choice[s] == kMissing) continue;
     if (static_cast<std::int64_t>(choice[s]) < bound) {
       bound = choice[s];
       continue;
     }
-    const auto set = sets.set(slots[s].up_index);
+    const auto set = sets.set(slot_up[s]);
     // Largest candidate strictly below `bound`; gap-aware pruning keeps
     // minima strictly increasing across non-empty sets, so one exists.
     std::uint32_t lo = 0;
@@ -181,8 +169,9 @@ CorrelationResult run_robust_impl(const KeySchedule& schedule,
   for (std::uint32_t bit = 0; bit < plan.bit_count(); ++bit) {
     bits[bit] = decode_bit_robust(plan, bit, choice, down_ts, cost);
   }
-  result.hamming = hamming_of(plan, bits);
   result.best_watermark = Watermark(std::move(bits));
+  result.hamming = static_cast<std::uint32_t>(
+      result.best_watermark.hamming_distance(target));
   result.correlated = result.hamming <= config.hamming_threshold;
   result.cost = cost.accesses();
   return result;

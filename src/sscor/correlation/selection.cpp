@@ -15,14 +15,13 @@ SelectionState::SelectionState(const DecodePlan& plan,
       downstream_ts_(downstream_ts),
       cost_(&cost) {
   require(sets.pruned(), "SelectionState requires pruned candidate sets");
-  const auto slots = plan.slots();
-  positions_.resize(slots.size());
-  greedy_positions_.resize(slots.size());
-  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+  positions_.resize(plan.slot_count());
+  greedy_positions_.resize(plan.slot_count());
+  for (std::uint32_t s = 0; s < plan.slot_count(); ++s) {
     const auto set = candidates(s);
     check_invariant(!set.empty(), "pruned sets must be complete");
     const auto pos =
-        slots[s].prefer_earliest
+        plan.slot_prefer()[s]
             ? 0u
             : static_cast<std::uint32_t>(set.size() - 1);
     positions_[s] = pos;
@@ -34,7 +33,7 @@ SelectionState::SelectionState(const DecodePlan& plan,
 
 std::span<const std::uint32_t> SelectionState::candidates(
     std::uint32_t slot) const {
-  return sets_->set(plan_->slots()[slot].up_index);
+  return sets_->set(plan_->slot_up()[slot]);
 }
 
 TimeUs SelectionState::ts_at(std::uint32_t down_idx) const {
@@ -54,10 +53,10 @@ DurationUs SelectionState::compute_bit_diff(
   };
   DurationUs sum = 0;
   for (std::uint32_t pair = 0; pair < plan_->pairs_per_bit(); ++pair) {
-    const PairSlots& ps = plan_->pair_slots(bit, pair);
-    const DurationUs ipd =
-        ts_at(index_of(ps.second_slot)) - ts_at(index_of(ps.first_slot));
-    sum += ps.group1 ? ipd : -ipd;
+    const std::size_t p = std::size_t{bit} * plan_->pairs_per_bit() + pair;
+    const DurationUs ipd = ts_at(index_of(plan_->pair_second_slot()[p])) -
+                           ts_at(index_of(plan_->pair_first_slot()[p]));
+    sum += plan_->pair_sign()[p] * ipd;
   }
   return sum;
 }
@@ -158,7 +157,7 @@ SelectionState::MoveOutcome SelectionState::try_advance(
   affected.clear();
   for (const auto& [s, pos] : changes) {
     (void)pos;
-    const std::uint32_t bit = plan_->slots()[s].bit;
+    const std::uint32_t bit = plan_->slot_bit()[s];
     if (std::find(affected.begin(), affected.end(), bit) == affected.end()) {
       affected.push_back(bit);
     }
@@ -173,11 +172,11 @@ SelectionState::MoveOutcome SelectionState::try_advance(
     const std::uint32_t bit = affected[i];
     new_diffs[i] = compute_bit_diff(bit, changes);
     if (bit == focus_bit) {
-      const bool want_one = plan_->target().bit(bit) == 1;
+      const bool want_one = plan_->target_bits()[bit] == 1;
       focus_improved = want_one ? new_diffs[i] > bit_diffs_[bit]
                                 : new_diffs[i] < bit_diffs_[bit];
     } else if (bit_matches(bit) &&
-               decode_bit(new_diffs[i]) != plan_->target().bit(bit)) {
+               decode_bit(new_diffs[i]) != plan_->target_bits()[bit]) {
       return MoveOutcome::kRejected;
     }
   }

@@ -22,9 +22,9 @@
 #include <span>
 #include <vector>
 
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/matching/cost_meter.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/decoder.hpp"
 
 namespace sscor {
@@ -68,7 +68,7 @@ class SelectionState {
   }
 
   bool bit_matches(std::uint32_t bit) const {
-    return decoded_bit(bit) == plan_->target().bit(bit);
+    return decoded_bit(bit) == plan_->target_bits()[bit];
   }
 
   std::uint32_t hamming() const;

@@ -14,7 +14,6 @@
 
 #include "sscor/correlation/brute_force.hpp"
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/greedy.hpp"
 #include "sscor/correlation/greedy_plus.hpp"
 #include "sscor/correlation/greedy_star.hpp"
@@ -32,6 +31,7 @@
 #include "sscor/traffic/chaff.hpp"
 #include "sscor/traffic/perturbation.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/decoder.hpp"
 #include "sscor/watermark/embedder.hpp"
 #include "sscor/watermark/quantization.hpp"
@@ -419,13 +419,10 @@ class DifferentialOracle final : public Oracle {
     const Flow& down = pipe->downstream;
     const CorrelatorConfig& config = pipe->config;
 
-    BruteForceOptions bf_options;
-    bf_options.prune = true;
-    bf_options.stop_at_threshold = false;
     const CorrelationResult bf =
-        run_brute_force(schedule, wm, up, down, config, bf_options);
-    const DecodePlan plan(schedule, wm);
-    const CorrelationResult greedy = run_greedy(plan, up, down, config);
+        run_brute_force(schedule, wm, up, down, config);
+    const CorrelationResult greedy =
+        run_greedy(schedule, wm, up, down, config);
     const CorrelationResult gp =
         run_greedy_plus(schedule, wm, up, down, config);
     const CorrelationResult gs =
@@ -562,8 +559,8 @@ CorrelationResult run_cold_scalar(Algorithm algorithm,
       return run_brute_force(marked.schedule, marked.watermark, marked.flow,
                              down, config);
     case Algorithm::kGreedy:
-      return run_greedy(DecodePlan(marked.schedule, marked.watermark),
-                        marked.flow, down, config);
+      return run_greedy(marked.schedule, marked.watermark, marked.flow, down,
+                        config);
     case Algorithm::kGreedyPlus:
       return run_greedy_plus(marked.schedule, marked.watermark, marked.flow,
                              down, config);
@@ -604,15 +601,15 @@ class BatchParityOracle final : public Oracle {
     // earlier ones dirtied.
     batch::DecodeWorkspace workspace;
     batch::BatchDecoder decoder(config, &workspace);
-    const batch::DecodeHypothesis hyp{&marked.schedule, &marked.watermark};
+    const DecodePlan plan(marked.schedule, marked.watermark);
 
     for (const Algorithm algorithm :
          {Algorithm::kBruteForce, Algorithm::kGreedy, Algorithm::kGreedyPlus,
           Algorithm::kGreedyStar}) {
       const std::string label = to_string(algorithm) + " cold scalar vs ";
       const auto reference = run_cold_scalar(algorithm, marked, down, config);
-      const auto shared = decoder.decode_one(algorithm, context, hyp);
-      const auto again = decoder.decode_one(algorithm, context, hyp);
+      const auto shared = decoder.decode_one(algorithm, context, plan);
+      const auto again = decoder.decode_one(algorithm, context, plan);
       const auto production =
           Correlator(config, algorithm).correlate(marked, down);
       for (const auto& [what, result] :
@@ -711,11 +708,11 @@ class ResilientParityOracle final : public Oracle {
     const MatchContext context = MatchContext::build(
         pipe->watermarked.flow, pipe->downstream, direct_config.max_delay,
         direct_config.size_constraint);
+    const DecodePlan plan(pipe->watermarked.schedule,
+                          pipe->watermarked.watermark);
     const CorrelationResult replay =
         batch::BatchDecoder(direct_config)
-            .decode_one(ladder.algorithm, context,
-                        batch::DecodeHypothesis{&pipe->watermarked.schedule,
-                                                &pipe->watermarked.watermark});
+            .decode_one(ladder.algorithm, context, plan);
     if (auto m = result_mismatch(
             "ladder tier " + to_string(ladder.algorithm) +
                 " diverges from one attempt of the same algorithm",
@@ -783,6 +780,8 @@ class ChaosDecodeOracle final : public Oracle {
     const Correlator plain(pipe->config, algo);
     const CorrelationResult baseline =
         plain.correlate(pipe->watermarked, down, &context);
+    const DecodePlan plan(pipe->watermarked.schedule,
+                          pipe->watermarked.watermark);
 
     struct ChaosOutcome {
       bool returned = false;
@@ -803,14 +802,12 @@ class ChaosDecodeOracle final : public Oracle {
             Deadline::at(std::chrono::steady_clock::time_point{});
       }
       batch::BatchDecoder chaotic(chaos_config);
-      const batch::DecodeHypothesis hyp{&pipe->watermarked.schedule,
-                                        &pipe->watermarked.watermark};
       try {
         if (alloc_budget > 0) {
           AllocationGuard guard(alloc_budget);
-          out.result = chaotic.decode_one(algo, context, hyp);
+          out.result = chaotic.decode_one(algo, context, plan);
         } else {
-          out.result = chaotic.decode_one(algo, context, hyp);
+          out.result = chaotic.decode_one(algo, context, plan);
         }
         out.returned = true;
       } catch (const std::bad_alloc&) {

@@ -13,86 +13,6 @@
 
 namespace sscor::batch {
 
-// --------------------------------------------------------------- SoaPlan
-
-void SoaPlan::build(const KeySchedule& schedule, const Watermark& target) {
-  bit_count_ = schedule.params().bits;
-  pairs_per_bit_ = 2 * schedule.params().redundancy;
-  require(target.size() == bit_count_,
-          "target watermark length does not match the schedule");
-
-  const std::vector<std::uint32_t>& relevant = schedule.relevant_packets();
-  const std::size_t n_slots =
-      static_cast<std::size_t>(bit_count_) * pairs_per_bit_ * 2;
-  // relevant_packets() deduplicates, so a shortfall means two pairs share a
-  // packet — the invariant DecodePlan checks after its sort.
-  check_invariant(relevant.size() == n_slots,
-                  "key schedule produced overlapping pairs");
-
-  // Scatter each endpoint's packed role into a table keyed by upstream
-  // index; emitting in relevant_packets() order then yields the slot table
-  // sorted by upstream index without sorting.  Every relevant index is
-  // written on every build, so the table never needs clearing.
-  if (!relevant.empty() && scratch_.size() < relevant.back() + 1u) {
-    scratch_.resize(relevant.back() + 1u);
-  }
-  for (std::uint32_t bit = 0; bit < bit_count_; ++bit) {
-    const BitPlan& plan = schedule.bit_plan(bit);
-    const bool want_one = target.bit(bit) == 1;
-    std::uint32_t pair_id = 0;
-    for (const auto* group : {&plan.group1, &plan.group2}) {
-      const bool group1 = group == &plan.group1;
-      // A group-1 pair wants a large IPD iff the wanted bit is 1.
-      const bool want_large = want_one == group1;
-      for (const PacketPair& pair : *group) {
-        for (const bool is_first : {true, false}) {
-          const std::uint32_t up = is_first ? pair.first : pair.second;
-          scratch_[up] =
-              (static_cast<std::uint64_t>(bit) << 32) |
-              (static_cast<std::uint64_t>(pair_id) << 16) |
-              (static_cast<std::uint64_t>(is_first) << 2) |
-              (static_cast<std::uint64_t>(group1) << 1) |
-              static_cast<std::uint64_t>(is_first == want_large);
-        }
-        ++pair_id;
-      }
-    }
-  }
-
-  slot_up_.assign(relevant.begin(), relevant.end());
-  slot_bit_.resize(n_slots);
-  slot_prefer_.resize(n_slots);
-  const std::size_t n_pairs =
-      static_cast<std::size_t>(bit_count_) * pairs_per_bit_;
-  pair_first_.resize(n_pairs);
-  pair_second_.resize(n_pairs);
-  pair_sign_.resize(n_pairs);
-  bit_slots_.resize(n_slots);
-  target_bits_.resize(bit_count_);
-  for (std::uint32_t b = 0; b < bit_count_; ++b) {
-    target_bits_[b] = target.bit(b);
-  }
-  bit_cursor_.assign(bit_count_, 0);
-
-  for (std::uint32_t s = 0; s < n_slots; ++s) {
-    const std::uint64_t packed = scratch_[slot_up_[s]];
-    const auto bit = static_cast<std::uint32_t>(packed >> 32);
-    const auto pair = static_cast<std::uint32_t>((packed >> 16) & 0xffff);
-    slot_bit_[s] = static_cast<std::uint16_t>(bit);
-    slot_prefer_[s] = static_cast<std::uint8_t>(packed & 1);
-    const std::size_t p =
-        static_cast<std::size_t>(bit) * pairs_per_bit_ + pair;
-    if ((packed >> 2) & 1) {
-      pair_first_[p] = s;
-    } else {
-      pair_second_[p] = s;
-    }
-    pair_sign_[p] = ((packed >> 1) & 1) ? std::int8_t{1} : std::int8_t{-1};
-    bit_slots_[static_cast<std::size_t>(bit) * 2 * pairs_per_bit_ +
-               bit_cursor_[bit]++] = s;
-  }
-}
-
 DecodeWorkspace& thread_workspace() {
   thread_local DecodeWorkspace workspace;
   return workspace;
@@ -100,8 +20,7 @@ DecodeWorkspace& thread_workspace() {
 
 namespace {
 
-/// "No downstream packet chosen" sentinel, shared by the Greedy port
-/// (scalar: nullopt) and the brute force slot table (scalar: uint32 max).
+/// The Greedy port's "no downstream packet chosen" (scalar: nullopt).
 constexpr std::uint32_t kNoChoice = 0xffffffffu;
 
 /// Replays the reference decoders' matching phase from the context (the
@@ -124,8 +43,8 @@ bool replay_matching(const MatchContext& ctx, CostMeter& cost) {
 class SelectionRun {
  public:
   SelectionRun(const CorrelatorConfig& config, const MatchContext& ctx,
-               const SoaPlan& plan, DecodeWorkspace& ws, Algorithm algorithm,
-               std::uint64_t cost_bound)
+               const DecodePlan& plan, DecodeWorkspace& ws,
+               Algorithm algorithm, std::uint64_t cost_bound)
       : config_(config),
         ctx_(ctx),
         plan_(plan),
@@ -282,7 +201,7 @@ class SelectionRun {
 
   const CorrelatorConfig& config_;
   const MatchContext& ctx_;
-  const SoaPlan& plan_;
+  const DecodePlan& plan_;
   DecodeWorkspace& ws_;
   Algorithm algorithm_;
   CostMeter cost_;
@@ -574,7 +493,7 @@ class SelectionRun {
 
 CorrelationResult run_greedy_plus_batch(const CorrelatorConfig& config,
                                         const MatchContext& ctx,
-                                        const SoaPlan& plan,
+                                        const DecodePlan& plan,
                                         DecodeWorkspace& ws) {
   SelectionRun run(config, ctx, plan, ws, Algorithm::kGreedyPlus,
                    std::numeric_limits<std::uint64_t>::max());
@@ -589,7 +508,7 @@ CorrelationResult run_greedy_plus_batch(const CorrelatorConfig& config,
 
 CorrelationResult run_greedy_star_batch(const CorrelatorConfig& config,
                                         const MatchContext& ctx,
-                                        const SoaPlan& plan,
+                                        const DecodePlan& plan,
                                         DecodeWorkspace& ws) {
   SelectionRun run(config, ctx, plan, ws, Algorithm::kGreedyStar,
                    config.cost_bound);
@@ -638,7 +557,7 @@ CorrelationResult run_greedy_star_batch(const CorrelatorConfig& config,
 /// over the pruned sets and certifies the exact optimum (no stop at the
 /// Hamming threshold).
 struct BruteForceRun {
-  const SoaPlan& plan;
+  const DecodePlan& plan;
   DecodeWorkspace& ws;
   std::span<const TimeUs> down_ts;
   CostMeter& cost;
@@ -657,7 +576,7 @@ struct BruteForceRun {
     }
     const std::uint32_t* set = ws.up_cand_ptr[i];
     const std::uint32_t len = ws.up_cand_len[i];
-    const std::uint32_t slot = ws.slot_of[i];
+    const std::uint32_t slot = plan.slot_of(i);
     for (std::uint32_t k = 0; k < len; ++k) {
       cost.count();
       if (cost.exhausted()) {
@@ -670,7 +589,7 @@ struct BruteForceRun {
       }
       const std::uint32_t candidate = set[k];
       if (static_cast<std::int64_t>(candidate) <= prev) continue;
-      if (slot != kNoChoice) ws.slot_down_index[slot] = candidate;
+      if (slot != DecodePlan::kNoSlot) ws.slot_down_index[slot] = candidate;
       dfs(i + 1, candidate);
       if (bound_hit || interrupted) return;
     }
@@ -703,7 +622,7 @@ struct BruteForceRun {
 
 CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
                                         const MatchContext& ctx,
-                                        const SoaPlan& plan,
+                                        const DecodePlan& plan,
                                         DecodeWorkspace& ws) {
   CostMeter cost(config.cost_bound);
   CancelProbe probe(config.budget);
@@ -729,12 +648,6 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
     const auto set = sets.set(i);
     ws.up_cand_ptr[i] = set.data();
     ws.up_cand_len[i] = static_cast<std::uint32_t>(set.size());
-  }
-  // Map upstream packet index -> slot (at most one; pairs are disjoint).
-  ws.slot_of.assign(n_up, kNoChoice);
-  const auto slot_up = plan.slot_up();
-  for (std::uint32_t s = 0; s < plan.slot_count(); ++s) {
-    ws.slot_of[slot_up[s]] = s;
   }
   ws.slot_down_index.assign(plan.slot_count(), 0);
   ws.leaf_bits.resize(plan.bit_count());
@@ -768,7 +681,8 @@ CorrelationResult run_brute_force_batch(const CorrelatorConfig& config,
 
 CorrelationResult run_greedy_batch(const CorrelatorConfig& config,
                                    const MatchContext& ctx,
-                                   const SoaPlan& plan, DecodeWorkspace& ws) {
+                                   const DecodePlan& plan,
+                                   DecodeWorkspace& ws) {
   TRACE_SPAN("correlate.greedy");
   CostMeter cost;
   CancelProbe probe(config.budget);
@@ -875,22 +789,19 @@ BatchDecoder::BatchDecoder(const CorrelatorConfig& config,
 
 CorrelationResult BatchDecoder::decode_one(Algorithm algorithm,
                                            const MatchContext& context,
-                                           const DecodeHypothesis& hypothesis) {
-  require(hypothesis.schedule != nullptr && hypothesis.target != nullptr,
-          "decode hypothesis must reference a schedule and a target");
-  ws_->plan.build(*hypothesis.schedule, *hypothesis.target);
+                                           const DecodePlan& plan) {
   require(context.key() ==
               MatchContextKey{config_.max_delay, config_.size_constraint},
           "MatchContext was built for a different pair or key");
   switch (algorithm) {
     case Algorithm::kBruteForce:
-      return run_brute_force_batch(config_, context, ws_->plan, *ws_);
+      return run_brute_force_batch(config_, context, plan, *ws_);
     case Algorithm::kGreedy:
-      return run_greedy_batch(config_, context, ws_->plan, *ws_);
+      return run_greedy_batch(config_, context, plan, *ws_);
     case Algorithm::kGreedyPlus:
-      return run_greedy_plus_batch(config_, context, ws_->plan, *ws_);
+      return run_greedy_plus_batch(config_, context, plan, *ws_);
     case Algorithm::kGreedyStar:
-      return run_greedy_star_batch(config_, context, ws_->plan, *ws_);
+      return run_greedy_star_batch(config_, context, plan, *ws_);
   }
   throw InternalError("unhandled algorithm");
 }

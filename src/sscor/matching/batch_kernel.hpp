@@ -1,27 +1,23 @@
 // The SoA decode engine behind Correlator::correlate: every production
-// decode of the paper's four algorithms runs here, over a MatchContext.
+// decode of the paper's four algorithms runs here, over a MatchContext and
+// a DecodePlan (watermark/decode_plan.hpp), the key schedule re-indexed as
+// parallel arrays.  The scalar correlators (run_greedy_plus & friends)
+// read candidate sets through bounds-checked accessors and allocate their
+// plan and selection arrays per decode; this layer keeps the same
+// algorithms on contiguous, reused storage:
 //
-// The scalar correlators (run_greedy_plus & friends) interleave plan
-// bookkeeping, candidate-set lookups through bounds-checked accessors, and
-// around thirty-five allocations per decode (DecodePlan's pending vector and
-// sort, the per-bit slot vectors, SelectionState's position arrays).  This
-// layer restructures the per-decode work onto contiguous
-// structure-of-arrays storage:
-//
-//   SoaPlan         the DecodePlan flattened to parallel arrays (slot →
-//                   upstream index / bit / greedy preference; pair → slot
-//                   ids + group sign; bit → slot-id slice), built without
-//                   sorting by scattering through KeySchedule's already-
-//                   sorted relevant_packets().
-//   DecodeWorkspace a reusable arena (thread-local by default) holding the
-//                   plan, flat candidate pointer/length tables, selection
-//                   state, and all per-algorithm scratch — after warm-up a
-//                   decode allocates only its result watermark.
+//   DecodeWorkspace a reusable arena (thread-local by default) holding
+//                   flat candidate pointer/length tables, selection state,
+//                   and all per-algorithm scratch — after warm-up a decode
+//                   allocates only its result watermark.
 //   BatchDecoder    exact ports of the four correlators (Greedy, Greedy+,
 //                   Greedy*, BruteForce) over the flat arrays, with the
 //                   inner sweeps (timestamp gathers, signed pair
 //                   differences, per-bit reductions) routed through the
 //                   batch_kernels.hpp scalar/vectorized pairs.
+//
+// decode_one takes a built plan and only reads it, so every decode of one
+// hypothesis (the degradation ladder's tiers, say) shares one build.
 //
 // The scalar run_* functions stay as the reference implementation, and they
 // decode cold: each runs its own matching phase, sharing no state with a
@@ -47,88 +43,15 @@
 #include "sscor/matching/candidate_sets.hpp"
 #include "sscor/matching/match_context.hpp"
 #include "sscor/util/cancellation.hpp"
-#include "sscor/watermark/key_schedule.hpp"
-#include "sscor/watermark/watermark.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 
 namespace sscor::batch {
-
-/// One (key schedule, expected watermark) decode hypothesis.  Both objects
-/// must outlive the decode call.
-struct DecodeHypothesis {
-  const KeySchedule* schedule = nullptr;
-  const Watermark* target = nullptr;
-};
-
-/// The key schedule re-indexed for matching-based decoding, as parallel
-/// arrays (the SoA mirror of DecodePlan).  Slots are sorted by upstream
-/// index; the build is sort-free because KeySchedule::relevant_packets()
-/// is already ascending — pair roles are scattered into a scratch table
-/// keyed by upstream index and emitted in relevant-packet order.
-class SoaPlan {
- public:
-  SoaPlan() = default;
-
-  /// (Re)builds the plan in place, reusing all storage.  Throws
-  /// InvalidArgument when `target`'s length does not match the schedule.
-  void build(const KeySchedule& schedule, const Watermark& target);
-
-  std::uint32_t slot_count() const {
-    return static_cast<std::uint32_t>(slot_up_.size());
-  }
-  std::uint32_t bit_count() const { return bit_count_; }
-  std::uint32_t pairs_per_bit() const { return pairs_per_bit_; }
-
-  /// Slot → upstream packet index (strictly increasing).
-  std::span<const std::uint32_t> slot_up() const { return slot_up_; }
-  /// Slot → watermark bit it carries.
-  std::span<const std::uint16_t> slot_bit() const { return slot_bit_; }
-  /// Slot → greedy preference (1 = earliest candidate, 0 = latest).
-  std::span<const std::uint8_t> slot_prefer() const { return slot_prefer_; }
-
-  /// Pair (bit-major, bit * pairs_per_bit + pair) → endpoint slot ids and
-  /// group sign (+1 for group 1, -1 for group 2).
-  std::span<const std::uint32_t> pair_first_slot() const {
-    return pair_first_;
-  }
-  std::span<const std::uint32_t> pair_second_slot() const {
-    return pair_second_;
-  }
-  std::span<const std::int8_t> pair_sign() const { return pair_sign_; }
-
-  /// Slot ids carrying `bit`, in increasing slot order (a slice of one
-  /// flat array — every bit owns exactly 2 * pairs_per_bit slots).
-  std::span<const std::uint32_t> bit_slots(std::uint32_t bit) const {
-    const std::size_t per_bit = 2ull * pairs_per_bit_;
-    return {bit_slots_.data() + bit * per_bit, per_bit};
-  }
-
-  /// Target watermark bit values, one byte per bit.
-  std::span<const std::uint8_t> target_bits() const { return target_bits_; }
-
- private:
-  std::uint32_t bit_count_ = 0;
-  std::uint32_t pairs_per_bit_ = 0;
-  std::vector<std::uint32_t> slot_up_;
-  std::vector<std::uint16_t> slot_bit_;
-  std::vector<std::uint8_t> slot_prefer_;
-  std::vector<std::uint32_t> pair_first_;
-  std::vector<std::uint32_t> pair_second_;
-  std::vector<std::int8_t> pair_sign_;
-  std::vector<std::uint32_t> bit_slots_;
-  std::vector<std::uint8_t> target_bits_;
-  /// Scatter table keyed by upstream index (packed bit/pair/role), sized to
-  /// the schedule's max packet index; reused across builds.
-  std::vector<std::uint64_t> scratch_;
-  /// Per-bit fill cursor for the bit_slots_ slices; reused across builds.
-  std::vector<std::uint32_t> bit_cursor_;
-};
 
 /// Reusable decode arena.  One workspace serves any number of sequential
 /// decodes over any pairs and hypothesis sizes; vectors only ever grow.
 /// Never shared across threads — use thread_workspace() for the per-thread
 /// instance.
 struct DecodeWorkspace {
-  SoaPlan plan;
   // Flat candidate tables: per-slot (selection algorithms) and per-upstream-
   // packet (brute force) views into the CandidateSets slices.
   std::vector<const std::uint32_t*> cand_ptr;
@@ -156,7 +79,6 @@ struct DecodeWorkspace {
   std::vector<std::uint8_t> is_free;
   std::vector<std::int64_t> upper_bound;
   // Brute force.
-  std::vector<std::uint32_t> slot_of;
   std::vector<std::uint32_t> slot_down_index;
   std::vector<std::uint8_t> leaf_bits;
   // Greedy.
@@ -176,15 +98,16 @@ class BatchDecoder {
   explicit BatchDecoder(const CorrelatorConfig& config,
                         DecodeWorkspace* workspace = nullptr);
 
-  /// Decodes one hypothesis with the given algorithm.  `context` must have
-  /// been built for the pair being decoded (its flows and key are the
-  /// single source of truth — there is no separate flow argument to
-  /// mismatch).  Byte-identical to the cold scalar run_* reference (Brute
-  /// Force with its default options).  Many hypotheses against one pair
-  /// share one context: call this once per hypothesis.
+  /// Decodes one hypothesis, the (schedule, target) pair `plan` was built
+  /// from, with the given algorithm.  `context` must have been built for
+  /// the pair being decoded (its flows and key are the single source of
+  /// truth — there is no separate flow argument to mismatch).
+  /// Byte-identical to the cold scalar run_* reference.  Many hypotheses
+  /// against one pair share one context: build one plan per hypothesis and
+  /// call this once per plan.
   CorrelationResult decode_one(Algorithm algorithm,
                                const MatchContext& context,
-                               const DecodeHypothesis& hypothesis);
+                               const DecodePlan& plan);
 
  private:
   CorrelatorConfig config_;

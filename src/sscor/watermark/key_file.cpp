@@ -1,15 +1,25 @@
 #include "sscor/watermark/key_file.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
-#include <sstream>
+#include <string_view>
 
 #include "sscor/util/error.hpp"
+#include "sscor/util/parse.hpp"
 
 namespace sscor {
 namespace {
 
 constexpr const char* kMagic = "# sscor-key v1";
+
+/// The fields write_secret_text writes; read_secret_text accepts no other.
+constexpr std::string_view kFields[] = {
+    "bits", "redundancy", "pair_offset", "embedding_delay_us", "key",
+    "watermark"};
 
 }  // namespace
 
@@ -39,47 +49,53 @@ WatermarkSecret read_secret_text(std::istream& in) {
   if (!std::getline(in, header) || header != kMagic) {
     throw IoError("missing sscor-key header");
   }
-  std::map<std::string, std::string> fields;
+  // Every line is exactly "name value", and names each known field once.
+  std::map<std::string, std::string, std::less<>> fields;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream parts(line);
-    std::string name;
-    std::string value;
-    if (!(parts >> name >> value)) {
+    const std::size_t space = line.find(' ');
+    if (space == 0 || space == std::string::npos ||
+        space + 1 == line.size() ||
+        line.find(' ', space + 1) != std::string::npos) {
       throw IoError("malformed key-file line: " + line);
     }
-    fields[name] = value;
+    std::string name = line.substr(0, space);
+    if (std::find(std::begin(kFields), std::end(kFields), name) ==
+        std::end(kFields)) {
+      throw IoError("unknown key-file field: " + name);
+    }
+    if (!fields.emplace(name, line.substr(space + 1)).second) {
+      throw IoError("repeated key-file field: " + name);
+    }
   }
-  auto get = [&](const std::string& name) -> const std::string& {
+  auto get = [&](std::string_view name) -> const std::string& {
     const auto it = fields.find(name);
     if (it == fields.end()) {
-      throw IoError("key file missing field: " + name);
+      throw IoError("key file missing field: " + std::string(name));
     }
     return it->second;
   };
-  auto parse_u64 = [](const std::string& text) {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(text, &consumed, 0);
-    if (consumed != text.size()) {
-      throw IoError("malformed number in key file: " + text);
+  // Numbers follow parse_unsigned's rule and must fit their field.
+  auto number = [&](std::string_view name, std::uint64_t max) {
+    try {
+      return parse_unsigned(get(name), "key-file field " + std::string(name),
+                            max);
+    } catch (const InvalidArgument& e) {
+      throw IoError(e.what());
     }
-    return value;
   };
 
+  constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   WatermarkSecret secret;
-  try {
-    secret.params.bits = static_cast<std::uint32_t>(parse_u64(get("bits")));
-    secret.params.redundancy =
-        static_cast<std::uint32_t>(parse_u64(get("redundancy")));
-    secret.params.pair_offset =
-        static_cast<std::uint32_t>(parse_u64(get("pair_offset")));
-    secret.params.embedding_delay =
-        static_cast<DurationUs>(parse_u64(get("embedding_delay_us")));
-    secret.key = parse_u64(get("key"));
-  } catch (const std::logic_error&) {  // stoull failures
-    throw IoError("malformed number in key file");
-  }
+  secret.params.bits = static_cast<std::uint32_t>(number("bits", kMaxU32));
+  secret.params.redundancy =
+      static_cast<std::uint32_t>(number("redundancy", kMaxU32));
+  secret.params.pair_offset =
+      static_cast<std::uint32_t>(number("pair_offset", kMaxU32));
+  secret.params.embedding_delay = static_cast<DurationUs>(number(
+      "embedding_delay_us", std::numeric_limits<DurationUs>::max()));
+  secret.key = number("key", std::numeric_limits<std::uint64_t>::max());
   secret.watermark = Watermark::parse(get("watermark"));
   secret.params.validate();
   require(secret.watermark.size() == secret.params.bits,

@@ -3,8 +3,11 @@
 // The embedding side and the detection side share three secrets: the
 // watermark parameters, the key (which locates the embedding packets), and
 // the embedded bit string.  WatermarkSecret bundles them and (de)serializes
-// a simple key=value text format, so the two sides can be separate
-// processes/machines (see tools/sscor_tool.cpp).
+// a one-field-per-line text format, so the two sides can be separate
+// processes/machines (see tools/sscor_tool.cpp).  Reading is strict: every
+// line is exactly "name value", each of the six fields below appears once,
+// and a number is decimal or hex after 0x and fits its field
+// (util/parse.hpp).
 //
 //   # sscor-key v1
 //   bits 24
@@ -41,7 +44,9 @@ void write_secret_text(std::ostream& out, const WatermarkSecret& secret);
 void write_secret_file(const std::string& path,
                        const WatermarkSecret& secret);
 
-/// Throws IoError on malformed input; validates the parameters.
+/// Throws IoError on malformed input: a bad line, or a field that is
+/// unknown, repeated, missing or not a number that fits (each named).  The
+/// watermark and the parameters are validated too (InvalidArgument).
 WatermarkSecret read_secret_text(std::istream& in);
 WatermarkSecret read_secret_file(const std::string& path);
 

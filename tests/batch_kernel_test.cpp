@@ -18,7 +18,6 @@
 
 #include "sscor/correlation/brute_force.hpp"
 #include "sscor/correlation/correlator.hpp"
-#include "sscor/correlation/decode_plan.hpp"
 #include "sscor/correlation/greedy.hpp"
 #include "sscor/correlation/greedy_plus.hpp"
 #include "sscor/correlation/greedy_star.hpp"
@@ -34,6 +33,7 @@
 #include "sscor/traffic/size_model.hpp"
 #include "sscor/util/error.hpp"
 #include "sscor/util/rng.hpp"
+#include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/embedder.hpp"
 
 namespace sscor {
@@ -71,8 +71,7 @@ CorrelationResult cold_scalar_run(Algorithm algorithm,
     case Algorithm::kBruteForce:
       return run_brute_force(schedule, target, upstream, downstream, config);
     case Algorithm::kGreedy:
-      return run_greedy(DecodePlan(schedule, target), upstream, downstream,
-                        config);
+      return run_greedy(schedule, target, upstream, downstream, config);
     case Algorithm::kGreedyPlus:
       return run_greedy_plus(schedule, target, upstream, downstream, config);
     case Algorithm::kGreedyStar:
@@ -98,12 +97,12 @@ void check_parity(const WatermarkedFlow& marked, const Flow& downstream,
       MatchContext::build(marked.flow, downstream, config.max_delay,
                           config.size_constraint);
   batch::BatchDecoder decoder(config);
-  const batch::DecodeHypothesis hyp{&marked.schedule, &marked.watermark};
+  const DecodePlan plan(marked.schedule, marked.watermark);
   for (const Algorithm algorithm : kAlgorithms) {
     if (algorithm == Algorithm::kBruteForce && !include_brute) continue;
     SCOPED_TRACE(to_string(algorithm));
     expect_same_result(cold_scalar_run(algorithm, marked, downstream, config),
-                       decoder.decode_one(algorithm, context, hyp));
+                       decoder.decode_one(algorithm, context, plan));
   }
 }
 
@@ -218,13 +217,13 @@ void check_key_scan(std::uint64_t seed, std::uint64_t first_key,
     const auto schedule = KeySchedule::create(
         small_params(), instance.marked.flow.size(), key);
     const Watermark target = Watermark::random(small_params().bits, rng);
-    const batch::DecodeHypothesis hyp{&schedule, &target};
+    const DecodePlan plan(schedule, target);
     for (const Algorithm algorithm : kAlgorithms) {
       SCOPED_TRACE(to_string(algorithm));
       expect_same_result(
           cold_scalar_run(algorithm, schedule, target, instance.marked.flow,
                           instance.downstream, config),
-          decoder.decode_one(algorithm, context, hyp));
+          decoder.decode_one(algorithm, context, plan));
     }
   }
 }
@@ -349,8 +348,8 @@ TEST(BatchKernelParity, WorkspaceReuseAcrossPairs) {
           MatchContext::build(instance.marked.flow, instance.downstream,
                               config.max_delay, config.size_constraint);
       batch::BatchDecoder decoder(config, &workspace);
-      const batch::DecodeHypothesis hyp{&instance.marked.schedule,
-                                        &instance.marked.watermark};
+      const DecodePlan plan(instance.marked.schedule,
+                            instance.marked.watermark);
       for (const Algorithm algorithm :
            {Algorithm::kBruteForce, Algorithm::kGreedyStar,
             Algorithm::kGreedyPlus, Algorithm::kGreedy}) {
@@ -358,8 +357,8 @@ TEST(BatchKernelParity, WorkspaceReuseAcrossPairs) {
         batch::DecodeWorkspace fresh;
         batch::BatchDecoder reference(config, &fresh);
         expect_same_result(
-            reference.decode_one(algorithm, context, hyp),
-            decoder.decode_one(algorithm, context, hyp));
+            reference.decode_one(algorithm, context, plan),
+            decoder.decode_one(algorithm, context, plan));
       }
     }
   }
@@ -375,18 +374,18 @@ TEST(BatchKernelParity, KernelModesAgree) {
   const MatchContext context =
       MatchContext::build(instance.marked.flow, instance.downstream,
                           config.max_delay, config.size_constraint);
-  const batch::DecodeHypothesis hyp{&instance.marked.schedule,
-                                    &instance.marked.watermark};
+  const DecodePlan plan(instance.marked.schedule, instance.marked.watermark);
   for (const Algorithm algorithm :
        {Algorithm::kGreedy, Algorithm::kGreedyPlus, Algorithm::kGreedyStar,
         Algorithm::kBruteForce}) {
     SCOPED_TRACE(to_string(algorithm));
     batch::set_kernel_mode(batch::KernelMode::kScalar);
     batch::BatchDecoder scalar_decoder(config);
-    const auto scalar = scalar_decoder.decode_one(algorithm, context, hyp);
+    const auto scalar = scalar_decoder.decode_one(algorithm, context, plan);
     batch::set_kernel_mode(batch::KernelMode::kVectorized);
     batch::BatchDecoder vector_decoder(config);
-    const auto vectorized = vector_decoder.decode_one(algorithm, context, hyp);
+    const auto vectorized =
+        vector_decoder.decode_one(algorithm, context, plan);
     expect_same_result(scalar, vectorized);
   }
   batch::set_kernel_mode(saved);
@@ -400,30 +399,19 @@ TEST(BatchKernelApi, RejectsMismatchedContextAndBadHypotheses) {
   const MatchContext context =
       MatchContext::build(a.marked.flow, a.downstream, config.max_delay,
                           config.size_constraint);
-  batch::BatchDecoder decoder(config);
 
   // A context built under a different key is a precondition violation.
   auto other = config;
   other.max_delay = seconds(std::int64_t{2});
   batch::BatchDecoder mismatched(other);
-  const batch::DecodeHypothesis hyp{&a.marked.schedule, &a.marked.watermark};
-  EXPECT_THROW(mismatched.decode_one(Algorithm::kGreedyPlus, context, hyp),
-               InvalidArgument);
-
-  // Null schedule / target pointers are rejected, not dereferenced.
-  EXPECT_THROW(decoder.decode_one(Algorithm::kGreedyPlus, context,
-                                  batch::DecodeHypothesis{}),
-               InvalidArgument);
-  const batch::DecodeHypothesis no_target{&a.marked.schedule, nullptr};
-  EXPECT_THROW(decoder.decode_one(Algorithm::kGreedyPlus, context, no_target),
+  const DecodePlan plan(a.marked.schedule, a.marked.watermark);
+  EXPECT_THROW(mismatched.decode_one(Algorithm::kGreedyPlus, context, plan),
                InvalidArgument);
 
   // A target of the wrong length cannot build a plan.
   Rng rng(222);
   const Watermark wrong_length = Watermark::random(7, rng);
-  const batch::DecodeHypothesis bad{&a.marked.schedule, &wrong_length};
-  EXPECT_THROW(decoder.decode_one(Algorithm::kGreedyPlus, context, bad),
-               InvalidArgument);
+  EXPECT_THROW(DecodePlan(a.marked.schedule, wrong_length), InvalidArgument);
 
   // Config preconditions mirror the Correlator's.
   auto negative = config;
@@ -483,10 +471,9 @@ TEST(BatchKernelIntegration, CorrelateMatchesColdScalarRuns) {
             cold_scalar_run(algorithm, c.marked, c.downstream, config);
         interrupted += want.interrupted;
         if (max_cost != 0) {
-          const batch::DecodeHypothesis hyp{&c.marked.schedule,
-                                            &c.marked.watermark};
+          const DecodePlan plan(c.marked.schedule, c.marked.watermark);
           expect_same_result(want, batch::BatchDecoder(config).decode_one(
-                                       algorithm, own, hyp));
+                                       algorithm, own, plan));
           continue;
         }
         const Correlator correlator(config, algorithm);

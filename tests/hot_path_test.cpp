@@ -4,10 +4,11 @@
 // message is built only when the check fails.  The engine bumps its
 // per-event metrics through handles bound once, never through a by-name
 // registry lookup.  A MatchContext build without a size constraint copies
-// no candidate list.  These tests pin these properties by counting heap bytes
-// with the fuzz library's AllocationGuard (the global operator new
-// replacement linked into this binary), and pin that a failing check still
-// throws the same exception type with the same "<function>: <what>" text.
+// no candidate list, and a warm decode allocates only its result.  These
+// tests pin these properties by counting heap bytes with the fuzz
+// library's AllocationGuard (the global operator new replacement linked
+// into this binary), and pin that a failing check still throws the same
+// exception type with the same "<function>: <what>" text.
 //
 // Guarded results are copied into locals and asserted after the guard
 // scope closes: a gtest assertion allocates.
@@ -18,12 +19,15 @@
 #include <memory>
 #include <source_location>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sscor/correlation/correlator.hpp"
 #include "sscor/correlation/online.hpp"
 #include "sscor/experiment/stream_corpus.hpp"
 #include "sscor/flow/flow.hpp"
 #include "sscor/fuzz/alloc_guard.hpp"
+#include "sscor/matching/batch_kernel.hpp"
 #include "sscor/matching/match_context.hpp"
 #include "sscor/net/five_tuple.hpp"
 #include "sscor/stream/stream_engine.hpp"
@@ -31,6 +35,9 @@
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/util/rng.hpp"
+#include "sscor/watermark/decode_plan.hpp"
+#include "sscor/watermark/embedder.hpp"
 
 namespace sscor {
 namespace {
@@ -179,6 +186,47 @@ TEST(HotPath, UnconstrainedContextBuildAllocatesLinearly) {
   EXPECT_LT(allocated, 24 * packets)
       << allocated << " bytes for " << up.size() << " + " << down.size()
       << " packets";
+}
+
+TEST(HotPath, WarmDecodeAllocatesOnlyItsResult) {
+  // A sweep-shaped correlated pair: a 1000-packet flow carrying the
+  // paper's 24-bit watermark, 7 s of perturbation and 3 pkt/s of chaff.
+  // Once warm, the per-thread plan storage and workspace are sized, so a
+  // decode allocates only its result watermark, one byte per bit.
+  const WatermarkParams params;
+  Rng rng(82);
+  const WatermarkedFlow marked = Embedder(params, 83).embed(
+      traffic::InteractiveSessionModel().generate(1000, 0, 81),
+      Watermark::random(params.bits, rng));
+  const Flow down = traffic::PoissonChaffInjector(3.0, 85).apply(
+      traffic::UniformPerturber(seconds(std::int64_t{7}), 84)
+          .apply(marked.flow));
+  CorrelatorConfig config;
+  config.max_delay = seconds(std::int64_t{7});
+  const MatchContext context =
+      MatchContext::build(marked.flow, down, config.max_delay, std::nullopt);
+  const DecodePlan plan(marked.schedule, marked.watermark);
+  // {bytes allocated, bits decoded} by a second call of `decode`.
+  const auto warm = [](const auto& decode) {
+    (void)decode();
+    const AllocationGuard guard(kBudget);
+    const std::size_t bits = decode().best_watermark.size();
+    return std::pair{guard.allocated_bytes(), bits};
+  };
+  for (const Algorithm algorithm : {Algorithm::kGreedy,
+                                    Algorithm::kGreedyPlus,
+                                    Algorithm::kGreedyStar}) {
+    const Correlator correlator(config, algorithm);
+    batch::BatchDecoder decoder(config);
+    const auto correlate = warm(
+        [&] { return correlator.correlate(marked, down, &context); });
+    const auto decode_one =
+        warm([&] { return decoder.decode_one(algorithm, context, plan); });
+    for (const auto& [bytes, bits] : {correlate, decode_one}) {
+      EXPECT_EQ(bits, params.bits) << to_string(algorithm);
+      EXPECT_LE(bytes, params.bits) << to_string(algorithm);
+    }
+  }
 }
 
 /// Runs `body`, which must throw exactly `E`; returns its what().

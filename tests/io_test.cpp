@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sscor/flow/flow_io.hpp"
 #include "sscor/traffic/interactive_model.hpp"
@@ -153,6 +154,45 @@ TEST(KeyFile, RejectsMalformedInput) {
         "# sscor-key v1\nbits xx\nredundancy 1\npair_offset 1\n"
         "embedding_delay_us 1000\nkey 1\nwatermark 1010\n");
     EXPECT_THROW(read_secret_text(s), IoError);
+  }
+
+  // Numbers are decimal, or hex after 0x: "030" is thirty bits, which the
+  // 24-bit watermark does not match (read as octal it was 24).
+  const std::string rest = "pair_offset 1\nembedding_delay_us 1000\n";
+  const std::string w4 = "watermark 1010\n";
+  const std::string w24 = "watermark " + std::string(24, '1') + "\n";
+  {
+    std::stringstream s("# sscor-key v1\nbits 030\nredundancy 1\n" + rest +
+                        "key 1\n" + w24);
+    EXPECT_THROW(read_secret_text(s), Error);
+  }
+  // A number has no sign and fits its field; a line is exactly "name
+  // value"; a field appears once and is known.  Each error names what it
+  // refused.
+  const struct {
+    std::string body;
+    std::string named;
+  } refused[] = {
+      {"bits 4294967320\nredundancy 1\n" + rest + "key 1\n" + w24, "bits"},
+      {"bits 4\nredundancy 4294967300\n" + rest + "key 1\n" + w4,
+       "redundancy"},
+      {"bits 4\nredundancy 1\n" + rest + "key -1\n" + w4, "key"},
+      {"bits 24 junk\nredundancy 1\n" + rest + "key 1\n" + w24,
+       "bits 24 junk"},
+      {"bits 8\nbits 4\nredundancy 1\n" + rest + "key 1\n" + w4, "bits"},
+      {"bits 4\nredundancy 1\nredundnacy 9\n" + rest + "key 1\n" + w4,
+       "redundnacy"},
+  };
+  for (const auto& c : refused) {
+    SCOPED_TRACE(c.body);
+    std::stringstream s("# sscor-key v1\n" + c.body);
+    std::string what;
+    try {
+      (void)read_secret_text(s);
+    } catch (const IoError& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(c.named), std::string::npos) << what;
   }
 }
 

@@ -218,14 +218,14 @@ TEST(InterruptedDecode, CostBudgetInterruptsExpensiveAlgorithms) {
   const MatchContext context =
       MatchContext::build(s.marked.flow, s.downstream, s.config.max_delay,
                           s.config.size_constraint);
-  const batch::DecodeHypothesis hyp{&s.marked.schedule, &s.marked.watermark};
+  const DecodePlan plan(s.marked.schedule, s.marked.watermark);
   for (const Algorithm algo :
        {Algorithm::kBruteForce, Algorithm::kGreedyStar,
         Algorithm::kGreedyPlus}) {
     CorrelatorConfig config = s.config;
     config.budget.max_cost = 500;
     const CorrelationResult r =
-        batch::BatchDecoder(config).decode_one(algo, context, hyp);
+        batch::BatchDecoder(config).decode_one(algo, context, plan);
     ASSERT_TRUE(r.interrupted) << to_string(algo);
     EXPECT_EQ(r.stop_reason, StopReason::kCostBudget) << to_string(algo);
   }

@@ -12,10 +12,13 @@
 #      (-DSSCOR_SANITIZE=address,undefined) and run under it the
 #      match-context unit tests, parallel-determinism and hot-path
 #      allocation tests, the matching window / probe-count and
-#      candidate-set tests, the decode parity suite (BatchKernel*,
+#      candidate-set tests, the decode plan's index tests (DecodePlan.*),
+#      the scalar reference's tests (SelectionState.*,
+#      AlgorithmPropertyTest.*, BruteForce.*), the online early-exit tests
+#      (OnlineCorrelator.*), the decode parity suite (BatchKernel*,
 #      MatchContextParity.* and MatchContextReuse.*: production decodes
 #      over a shared context vs the cold scalar reference), and the golden
-#      cost figures and verdict records;
+#      cost figures, detection tables and verdict records;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing), then run the degradation
@@ -118,9 +121,10 @@ step_3() {  # ASan/UBSan build + matching/parity/golden tests
     -DSSCOR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j "$jobs" \
     --target match_context_test parallel_determinism_test hot_path_test \
-             matching_test experiment_test batch_kernel_test stream_test
+             matching_test experiment_test batch_kernel_test stream_test \
+             correlation_test
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost|BatchKernel|GoldenVerdicts'
+    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost|BatchKernel|GoldenVerdicts|GoldenDetection|DecodePlan|SelectionState|AlgorithmPropertyTest|BruteForce|OnlineCorrelator'
 }
 
 step_4() {  # trace smoke: end-to-end pipeline with --trace/--trace-spans

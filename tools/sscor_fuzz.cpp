@@ -16,7 +16,7 @@
 // with the same flags behave identically on any machine.
 
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -27,6 +27,7 @@
 #include "sscor/fuzz/generators.hpp"
 #include "sscor/fuzz/oracles.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/util/parse.hpp"
 
 namespace {
 
@@ -47,14 +48,6 @@ void print_usage(std::ostream& out) {
          "  --replay <file>      re-run one replay artifact and exit\n"
          "  --emit-corpus <dir>  write corpus seeds + regression artifacts\n"
          "  --list-oracles       print oracle names and exit\n";
-}
-
-bool parse_u64(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 int replay_command(const std::string& path) {
@@ -119,50 +112,53 @@ int main(int argc, char** argv) {
   std::string emit_dir;
   bool list_oracles = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "sscor_fuzz: " << arg << " needs a value\n";
-        std::exit(kExitUsage);
-      }
-      return argv[++i];
-    };
-    if (arg == "--iterations") {
-      if (!parse_u64(need_value(), options.iterations)) return kExitUsage;
-    } else if (arg == "--seed") {
-      if (!parse_u64(need_value(), options.seed)) return kExitUsage;
-    } else if (arg == "--oracle") {
-      options.only.emplace_back(need_value());
-    } else if (arg == "--corpus") {
-      options.corpus_dir = need_value();
-    } else if (arg == "--artifacts") {
-      options.artifact_dir = need_value();
-    } else if (arg == "--no-shrink") {
-      options.shrink = false;
-    } else if (arg == "--max-failures") {
-      std::uint64_t n = 0;
-      if (!parse_u64(need_value(), n)) return kExitUsage;
-      options.max_failures = static_cast<std::size_t>(n);
-    } else if (arg == "--quiet") {
-      options.log = nullptr;
-    } else if (arg == "--replay") {
-      replay_path = need_value();
-    } else if (arg == "--emit-corpus") {
-      emit_dir = need_value();
-    } else if (arg == "--list-oracles") {
-      list_oracles = true;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return kExitClean;
-    } else {
-      std::cerr << "sscor_fuzz: unknown option " << arg << "\n";
-      print_usage(std::cerr);
-      return kExitUsage;
-    }
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto need_value = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::cerr << "sscor_fuzz: " << arg << " needs a value\n";
+          std::exit(kExitUsage);
+        }
+        return argv[++i];
+      };
+      // Counts and seeds follow the shared integer rule (util/parse.hpp); a
+      // value it refuses is a usage error naming the flag (the catch below).
+      const auto need_number = [&] {
+        return sscor::parse_unsigned(need_value(), arg);
+      };
+      if (arg == "--iterations") {
+        options.iterations = need_number();
+      } else if (arg == "--seed") {
+        options.seed = need_number();
+      } else if (arg == "--oracle") {
+        options.only.emplace_back(need_value());
+      } else if (arg == "--corpus") {
+        options.corpus_dir = need_value();
+      } else if (arg == "--artifacts") {
+        options.artifact_dir = need_value();
+      } else if (arg == "--no-shrink") {
+        options.shrink = false;
+      } else if (arg == "--max-failures") {
+        options.max_failures = static_cast<std::size_t>(need_number());
+      } else if (arg == "--quiet") {
+        options.log = nullptr;
+      } else if (arg == "--replay") {
+        replay_path = need_value();
+      } else if (arg == "--emit-corpus") {
+        emit_dir = need_value();
+      } else if (arg == "--list-oracles") {
+        list_oracles = true;
+      } else if (arg == "--help" || arg == "-h") {
+        print_usage(std::cout);
+        return kExitClean;
+      } else {
+        std::cerr << "sscor_fuzz: unknown option " << arg << "\n";
+        print_usage(std::cerr);
+        return kExitUsage;
+      }
+    }
+
     if (list_oracles) {
       for (const auto& oracle : sscor::fuzz::make_default_oracles()) {
         std::cout << oracle->name() << "\n";

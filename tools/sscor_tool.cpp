@@ -115,7 +115,9 @@
 // --metrics (print the run-metrics registry to stderr on exit), --trace
 // PATH (per-detect decode introspection as JSONL) and --trace-spans PATH
 // (span timings as Chrome trace JSON, loadable in Perfetto /
-// chrome://tracing).  Numbers are decimal, or hex after 0x.
+// chrome://tracing).  Integers are decimal, or hex after 0x, with no sign,
+// and must fit the setting they set.  A flag value that does not parse or
+// fit is refused by flag name (exit 2).
 //
 // generate -> embed -> perturb -> detect exercises the full system from
 // the shell; see README.md for a walkthrough.
@@ -125,16 +127,19 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
@@ -159,6 +164,7 @@
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
 #include "sscor/util/metrics.hpp"
+#include "sscor/util/parse.hpp"
 #include "sscor/util/table.hpp"
 #include "sscor/util/trace.hpp"
 #include "sscor/watermark/embedder.hpp"
@@ -167,6 +173,18 @@
 namespace {
 
 using namespace sscor;
+
+/// A *-ms flag's largest value: the most milliseconds millis() converts
+/// without overflow.
+constexpr std::uint64_t kMaxMillis =
+    std::numeric_limits<std::int64_t>::max() / kMicrosPerMilli;
+
+/// A flag value Args cannot parse or that does not fit the setting.  Like
+/// an unknown flag, it is a usage error: exit 2.
+class UsageError : public InvalidArgument {
+ public:
+  using InvalidArgument::InvalidArgument;
+};
 
 class Args {
  public:
@@ -210,39 +228,34 @@ class Args {
     return std::nullopt;
   }
 
-  /// Numeric flags parse strictly, as decimal or as hex after "0x": a value
-  /// that is not a complete number ("6x", "", "--shards four") is an error,
-  /// not a silent fallback to 0, and a leading zero is not octal.  An
-  /// absent flag (or a bare `--flag` with no value) takes `fallback`.
-  std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
+  /// An integer flag read into a T.  Integers follow parse_unsigned's rule
+  /// (util/parse.hpp): decimal, or hex after "0x", never octal.  A value
+  /// that is not a complete number ("6x", "--shards four"), carries a sign
+  /// or exceeds `max`, by default the largest T, is a usage error naming
+  /// the flag: never a silent fallback, wrap or narrowing.  An absent flag
+  /// (or a bare `--flag` with no value) takes `fallback`.
+  template <std::integral T = std::uint64_t>
+  T integer(const std::string& name, std::type_identity_t<T> fallback,
+            std::uint64_t max = std::numeric_limits<T>::max()) const {
     const auto v = get(name);
     if (!v || v->empty()) return fallback;
-    if ((*v)[0] == '-') {
-      throw InvalidArgument("--" + name + " must be non-negative, got \"" +
-                            *v + "\"");
+    try {
+      return static_cast<T>(parse_unsigned(*v, "--" + name, max));
+    } catch (const InvalidArgument& e) {
+      throw UsageError(e.what());
     }
-    const bool hex = v->starts_with("0x") || v->starts_with("0X");
-    const char* const first = v->data() + (hex ? 2 : 0);
-    const char* const last = v->data() + v->size();
-    std::uint64_t parsed = 0;
-    const auto [end, error] =
-        std::from_chars(first, last, parsed, hex ? 16 : 10);
-    if (error != std::errc() || end != last) {
-      throw InvalidArgument("--" + name + " expects an integer, got \"" + *v +
-                            "\"");
-    }
-    return parsed;
   }
 
-  /// u64 that additionally rejects an explicit zero (for flags where 0 is
-  /// meaningless, e.g. a polling interval).
-  std::uint64_t u64_positive(const std::string& name,
-                             std::uint64_t fallback) const {
-    const std::uint64_t value = u64(name, fallback);
+  /// integer() that additionally rejects an explicit zero (for flags where
+  /// 0 is meaningless, e.g. a polling interval).
+  template <std::integral T = std::uint64_t>
+  T positive_integer(const std::string& name,
+                     std::type_identity_t<T> fallback,
+                     std::uint64_t max = std::numeric_limits<T>::max()) const {
+    const T value = integer<T>(name, fallback, max);
     const auto v = get(name);
     if (v && !v->empty() && value == 0) {
-      throw InvalidArgument("--" + name + " must be positive, got \"" + *v +
-                            "\"");
+      throw UsageError("--" + name + " must be positive, got \"" + *v + "\"");
     }
     return value;
   }
@@ -254,8 +267,7 @@ class Args {
     char* end = nullptr;
     const double parsed = std::strtod(v->c_str(), &end);
     if (errno != 0 || end == v->c_str() || *end != '\0') {
-      throw InvalidArgument("--" + name + " expects a number, got \"" + *v +
-                            "\"");
+      throw UsageError("--" + name + " expects a number, got \"" + *v + "\"");
     }
     return parsed;
   }
@@ -265,8 +277,7 @@ class Args {
     const double value = number(name, fallback);
     const auto v = get(name);
     if (v && !v->empty() && value <= 0.0) {
-      throw InvalidArgument("--" + name + " must be positive, got \"" + *v +
-                            "\"");
+      throw UsageError("--" + name + " must be positive, got \"" + *v + "\"");
     }
     return value;
   }
@@ -275,7 +286,11 @@ class Args {
   /// so NaN, infinite, negative and out-of-range values are refused by
   /// name instead of reaching an undefined conversion.
   DurationUs duration_s(const std::string& name, double fallback) const {
-    return checked_seconds(number(name, fallback), "--" + name);
+    try {
+      return checked_seconds(number(name, fallback), "--" + name);
+    } catch (const InvalidArgument& e) {
+      throw UsageError(e.what());
+    }
   }
 
   bool flag(const std::string& name) const { return get(name).has_value(); }
@@ -295,9 +310,9 @@ net::FiveTuple tuple_for_index(std::size_t index) {
 
 int cmd_generate(const Args& args) {
   const std::string out = args.require_str("out");
-  const auto flows = args.u64("flows", 4);
-  const auto packets = args.u64("packets", 1000);
-  const auto seed = args.u64("seed", 1);
+  const auto flows = args.integer("flows", 4);
+  const auto packets = args.integer("packets", 1000);
+  const auto seed = args.integer("seed", 1);
   const std::string corpus = args.get("corpus").value_or("interactive");
 
   std::unique_ptr<traffic::FlowGenerator> generator;
@@ -347,16 +362,15 @@ int cmd_stats(const Args& args) {
 
 int cmd_embed(const Args& args) {
   const auto flows = extract_flows_from_file(args.require_str("in"));
-  const auto index = args.u64("flow-index", 0);
+  const auto index = args.integer("flow-index", 0);
   require(index < flows.size(), "flow index out of range");
 
   WatermarkSecret secret;
-  secret.params.bits = static_cast<std::uint32_t>(args.u64("bits", 24));
-  secret.params.redundancy =
-      static_cast<std::uint32_t>(args.u64("redundancy", 4));
+  secret.params.bits = args.integer<std::uint32_t>("bits", 24);
+  secret.params.redundancy = args.integer<std::uint32_t>("redundancy", 4);
   secret.params.embedding_delay =
-      millis(static_cast<std::int64_t>(args.u64("delay-ms", 600)));
-  secret.key = args.u64("key", 0x5eedULL);
+      millis(args.integer<std::int64_t>("delay-ms", 600, kMaxMillis));
+  secret.key = args.integer("key", 0x5eedULL);
 
   Rng rng(mix_seeds(secret.key, 0x77));
   secret.watermark = Watermark::random(secret.params.bits, rng);
@@ -379,7 +393,7 @@ int cmd_perturb(const Args& args) {
   const auto flows = extract_flows_from_file(args.require_str("in"));
   const auto delta = args.duration_s("max-delay-s", 7.0);
   const double chaff_rate = args.number("chaff", 3.0);
-  const auto seed = args.u64("seed", 2);
+  const auto seed = args.integer("seed", 2);
 
   std::vector<Flow> transformed;
   std::vector<SynthesisInput> inputs;
@@ -414,8 +428,7 @@ int cmd_detect(const Args& args) {
 
   CorrelatorConfig config;
   config.max_delay = args.duration_s("max-delay-s", 7.0);
-  config.hamming_threshold =
-      static_cast<std::uint32_t>(args.u64("threshold", 7));
+  config.hamming_threshold = args.integer<std::uint32_t>("threshold", 7);
   const Algorithm algorithm =
       parse_algorithm(args.get("algorithm").value_or("greedy+"));
   const bool robust = args.flag("robust");
@@ -426,9 +439,9 @@ int cmd_detect(const Args& args) {
   }
 
   const DurationUs deadline_us =
-      millis(static_cast<std::int64_t>(args.u64("deadline-ms", 0)));
+      millis(args.integer<std::int64_t>("deadline-ms", 0, kMaxMillis));
   CorrelatorConfig budgeted = config;
-  budgeted.budget.max_cost = args.u64("budget", 0);
+  budgeted.budget.max_cost = args.integer("budget", 0);
   if (robust && (deadline_us > 0 || budgeted.budget.max_cost != 0)) {
     std::fprintf(stderr,
                  "warning: --deadline-ms/--budget apply to the ladder "
@@ -507,11 +520,11 @@ int cmd_sweep(const Args& args) {
   experiment::ExperimentConfig config;
   // Scaled-down defaults so a shell invocation finishes in seconds; the
   // paper-sized sweep is reachable by raising --flows/--packets/--fp-pairs.
-  config.flows = args.u64("flows", 8);
-  config.packets_per_flow = args.u64("packets", 600);
-  config.fp_pairs = args.u64("fp-pairs", 40);
-  config.master_seed = args.u64("seed", config.master_seed);
-  config.threads = static_cast<unsigned>(args.u64("threads", 0));
+  config.flows = args.integer("flows", 8);
+  config.packets_per_flow = args.integer("packets", 600);
+  config.fp_pairs = args.integer("fp-pairs", 40);
+  config.master_seed = args.integer("seed", config.master_seed);
+  config.threads = args.integer<unsigned>("threads", 0);
   const std::string corpus = args.get("corpus").value_or("interactive");
   if (corpus == "tcplib") {
     config.corpus = experiment::Corpus::kTcplib;
@@ -553,8 +566,7 @@ int cmd_sweep(const Args& args) {
     shard.resume = args.flag("resume");
     shard.fsync = args.flag("fsync");
     if (args.flag("kill-after")) {
-      shard.sigkill_after_points =
-          static_cast<std::int64_t>(args.u64("kill-after", 0));
+      shard.sigkill_after_points = args.integer<std::int64_t>("kill-after", 0);
     }
     table = experiment::run_sweep_shard(config, spec, shard, progress);
     if (!table) {
@@ -578,7 +590,7 @@ int cmd_merge_journals(const Args& args) {
   const std::string dir = args.require_str("journal-dir");
   const experiment::ClusterScan scan = experiment::scan_journal_dir(dir);
   if (args.flag("expect-shards")) {
-    const std::uint64_t expected = args.u64_positive("expect-shards", 0);
+    const std::uint64_t expected = args.positive_integer("expect-shards", 0);
     if (scan.shard_files != expected) {
       throw IoError("expected " + std::to_string(expected) +
                     " shard journals in " + dir + ", found " +
@@ -664,23 +676,22 @@ int cmd_watch(const Args& args) {
 
   CorrelatorConfig config;
   config.max_delay = args.duration_s("max-delay-s", 7.0);
-  config.hamming_threshold =
-      static_cast<std::uint32_t>(args.u64("threshold", 7));
+  config.hamming_threshold = args.integer<std::uint32_t>("threshold", 7);
 
   stream::StreamOptions options;
   options.algorithm =
       parse_algorithm(args.get("algorithm").value_or("greedy+"));
   options.early_exit = !args.flag("no-early-exit");
-  options.min_packets = args.u64("min-packets", 2);
-  options.batch_size = args.u64("batch", 256);
-  options.threads = static_cast<unsigned>(args.u64("threads", 1));
-  options.table.shards = args.u64("shards", 4);
-  options.table.max_flows = args.u64("max-flows", 0);
-  options.table.max_buffered_packets = args.u64("max-buffered-packets", 0);
+  options.min_packets = args.integer("min-packets", 2);
+  options.batch_size = args.integer("batch", 256);
+  options.threads = args.integer<unsigned>("threads", 1);
+  options.table.shards = args.integer("shards", 4);
+  options.table.max_flows = args.integer("max-flows", 0);
+  options.table.max_buffered_packets = args.integer("max-buffered-packets", 0);
   options.table.idle_ttl = args.duration_s("ttl-s", 0.0);
   options.admission.deadline_us =
-      millis(static_cast<std::int64_t>(args.u64("deadline-ms", 0)));
-  options.admission.max_cost_per_attempt = args.u64("budget", 0);
+      millis(args.integer<std::int64_t>("deadline-ms", 0, kMaxMillis));
+  options.admission.max_cost_per_attempt = args.integer("budget", 0);
 
   // The daemon drains gracefully on SIGTERM/SIGINT: loops below poll
   // shutdown::requested() at batch boundaries and unwind normally.
@@ -696,14 +707,14 @@ int cmd_watch(const Args& args) {
     stream::SocketSourceOptions socket_options;
     socket_options.endpoint = args.require_str("connect");
     socket_options.backoff.initial_ms =
-        static_cast<std::int64_t>(args.u64_positive("backoff-ms", 100));
-    socket_options.backoff.max_ms =
-        static_cast<std::int64_t>(args.u64_positive("backoff-max-ms", 5000));
-    socket_options.backoff_seed = args.u64("backoff-seed", 0x55c0);
+        args.positive_integer<std::int64_t>("backoff-ms", 100, kMaxMillis);
+    socket_options.backoff.max_ms = args.positive_integer<std::int64_t>(
+        "backoff-max-ms", 5000, kMaxMillis);
+    socket_options.backoff_seed = args.integer("backoff-seed", 0x55c0);
     socket_options.read_timeout_ms =
-        static_cast<int>(args.u64_positive("read-timeout-ms", 5000));
+        args.positive_integer<int>("read-timeout-ms", 5000);
     socket_options.max_reconnects =
-        static_cast<int>(args.u64_positive("reconnect-max", 8));
+        args.positive_integer<int>("reconnect-max", 8);
     socket_options.should_stop = [] { return shutdown::requested() != 0; };
     auto owned =
         std::make_unique<stream::SocketPacketSource>(socket_options);
@@ -738,18 +749,18 @@ int cmd_watch(const Args& args) {
     stream::DurabilityOptions durability;
     durability.state_dir = state_dir;
     durability.snapshot_interval =
-        args.u64_positive("snapshot-interval", 4096);
+        args.positive_integer("snapshot-interval", 4096);
     durability.fsync = args.flag("fsync");
     if (args.flag("kill-after-verdicts")) {
       durability.sigkill_after_commits =
-          static_cast<std::int64_t>(args.u64("kill-after-verdicts", 0));
+          args.integer<std::int64_t>("kill-after-verdicts", 0);
     }
     session = std::make_unique<stream::DurableSession>(
         durability, watch_fingerprint(secret, upstreams, config, options));
   }
 
   const std::string metrics_json = args.get("metrics-json").value_or("");
-  const auto metrics_interval = args.u64_positive("metrics-interval", 0);
+  const auto metrics_interval = args.positive_integer("metrics-interval", 0);
   const std::string stats_addr = args.get("stats-addr").value_or("");
   const std::string event_log_path = args.get("event-log").value_or("");
   const DurationUs linger = args.duration_s("linger-s", 0.0);
@@ -942,9 +953,9 @@ int cmd_feed(const Args& args) {
   }
 
   stream::FrameFeederOptions options;
-  options.heartbeat_every = args.u64("heartbeat-every", 0);
-  options.drop_after_frames = args.u64("drop-after-frames", 0);
-  options.pace_us = static_cast<std::int64_t>(args.u64("pace-us", 0));
+  options.heartbeat_every = args.integer("heartbeat-every", 0);
+  options.drop_after_frames = args.integer("drop-after-frames", 0);
+  options.pace_us = args.integer<std::int64_t>("pace-us", 0);
 
   shutdown::install();
   const std::size_t total = packets.size();
@@ -973,9 +984,9 @@ int cmd_chaos_proxy(const Args& args) {
   stream::ChaosProxyOptions options;
   options.upstream = args.require_str("upstream");
   options.fault_rate = args.number("fault-rate", 0.3);
-  options.seed = args.u64("seed", 1);
+  options.seed = args.integer("seed", 1);
   options.max_upstream_failures =
-      static_cast<int>(args.u64_positive("max-upstream-failures", 3));
+      args.positive_integer<int>("max-upstream-failures", 3);
   require(options.fault_rate >= 0.0 && options.fault_rate <= 1.0,
           "--fault-rate must be in [0, 1]");
 
@@ -1003,13 +1014,14 @@ int cmd_chaos_proxy(const Args& args) {
 
 int cmd_top(const Args& args) {
   const net::HostPort addr = net::parse_host_port(args.require_str("addr"));
-  const auto interval_ms = args.u64_positive("interval-ms", 1000);
-  const auto count = args.u64("count", 0);  // 0 = poll until the daemon goes
+  const auto interval_ms =
+      args.positive_integer("interval-ms", 1000, kMaxMillis);
+  const auto count = args.integer("count", 0);  // 0: until the daemon goes
   const bool clear = !args.flag("no-clear");
   // Transient scrape failures (daemon mid-restart, listen queue full) are
   // retried with a growing bounded delay; only --retries consecutive
   // failures conclude the daemon is gone.
-  const auto retries = args.u64("retries", 3);
+  const auto retries = args.integer("retries", 3);
 
   bool have_prev = false;
   bool ever_scraped = false;
@@ -1241,6 +1253,9 @@ int main(int argc, char** argv) {
                    metrics::snapshot().to_table().to_string().c_str());
     }
     return rc;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
