@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <exception>
 #include <optional>
 
 #include "sscor/matching/batch_kernel.hpp"
@@ -132,56 +130,39 @@ struct TierCounters {
   metrics::Counter* by_algorithm[kTierOrder.size()] = {};
 };
 
-/// Flushes the per-attempt latency sample on scope exit — including
-/// exceptional unwind (chaos-injected allocation failure, a throwing flow
-/// accessor), so a decode that dies after 900ms still lands in the latency
-/// tail instead of vanishing from the histogram.  Aborted attempts are
-/// counted separately.
-class LatencyFlusher {
- public:
-  LatencyFlusher() noexcept
-      : entry_exceptions_(std::uncaught_exceptions()),
-        start_(std::chrono::steady_clock::now()) {}
-  ~LatencyFlusher() noexcept {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-    static metrics::Histogram& latency =
-        metrics::histogram("correlate.latency_us");
-    latency.record(static_cast<std::uint64_t>(elapsed));
-    if (std::uncaught_exceptions() > entry_exceptions_) {
-      static metrics::Counter& aborted = metrics::counter("correlate.aborted");
-      aborted.add();
-    }
-  }
-  LatencyFlusher(const LatencyFlusher&) = delete;
-  LatencyFlusher& operator=(const LatencyFlusher&) = delete;
-
- private:
-  int entry_exceptions_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// One decode attempt of one tier: the `correlate` span, a latency sample,
-/// the per-run metrics and (when enabled) one decode-trace record.
+/// One decode attempt of one tier: a latency sample with its `correlate`
+/// span, the per-run metrics and (when enabled) one decode-trace record.
+/// An attempt that dies by exception (chaos-injected allocation failure, a
+/// throwing flow accessor) still lands in the latency tail, and is counted
+/// as aborted.
 CorrelationResult decode_attempt(const CorrelatorConfig& config,
                                  Algorithm algorithm,
                                  const WatermarkedFlow& watermarked,
                                  const Flow& suspicious,
                                  const MatchContext& context,
                                  const DecodePlan& plan) {
-  TRACE_SPAN("correlate");
-  const LatencyFlusher latency_guard;
-  batch::BatchDecoder decoder(config);
-  const CorrelationResult result =
-      decoder.decode_one(algorithm, context, plan);
-  record_run_metrics(result);
-  if (trace::decode_enabled()) {
-    record_decode_trace(to_string(result.algorithm), watermarked.watermark,
-                        result, context.windows(), watermarked.flow.size(),
-                        suspicious.size());
+  // Both handles are bound before the decode, so the abort path, which
+  // may run out of memory, allocates nothing.
+  static metrics::Histogram& latency =
+      metrics::histogram("correlate.latency_us");
+  static metrics::Counter& aborted = metrics::counter("correlate.aborted");
+  const metrics::ScopedTimer timer(latency, "correlate");
+  try {
+    batch::BatchDecoder decoder(config);
+    // Not const, so the return moves the result out of the try block
+    // instead of copying it.
+    CorrelationResult result = decoder.decode_one(algorithm, context, plan);
+    record_run_metrics(result);
+    if (trace::decode_enabled()) {
+      record_decode_trace(to_string(result.algorithm), watermarked.watermark,
+                          result, context.windows(), watermarked.flow.size(),
+                          suspicious.size());
+    }
+    return result;
+  } catch (...) {
+    aborted.add();
+    throw;
   }
-  return result;
 }
 
 }  // namespace

@@ -157,18 +157,15 @@ int run_figure_bench(const std::string& figure_id, const std::string& title,
       throw InvalidArgument("--resume requires --journal-dir=DIR");
     }
     TextTable table({"-"});
-    {
-      const metrics::ScopedTimer timer("bench." + figure_id);
-      if (options.journal_dir.empty()) {
-        table = run_sweep(options.config, spec, progress);
-      } else {
-        // Shard 0 of 1 owns every point, so it always returns the table.
-        table = run_sweep_shard(options.config, spec,
-                                ShardSpec{.journal_dir = options.journal_dir,
-                                          .resume = options.resume},
-                                progress)
-                    .value();
-      }
+    if (options.journal_dir.empty()) {
+      table = run_sweep(options.config, spec, progress);
+    } else {
+      // Shard 0 of 1 owns every point, so it always returns the table.
+      table = run_sweep_shard(options.config, spec,
+                              ShardSpec{.journal_dir = options.journal_dir,
+                                        .resume = options.resume},
+                              progress)
+                  .value();
     }
     std::printf("%s\n", table.to_string().c_str());
     if (!options.trace_path.empty()) {
@@ -199,6 +196,9 @@ int run_figure_bench(const std::string& figure_id, const std::string& title,
       std::printf("\npaper expectation: %s\n", expectation.c_str());
     }
     return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.message());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

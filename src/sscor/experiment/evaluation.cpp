@@ -74,14 +74,12 @@ std::vector<DetectorMetrics> evaluate_point(
     const EvaluationRequest& request) {
   const unsigned threads = dataset.config().threads;
   const sscor::metrics::ScopedTimer point_timer("eval.point");
-  TRACE_SPAN("eval.point");
 
   // Downstream flows are shared by every detector; generate them in
   // parallel (each is an independent function of the seed).
   std::vector<Flow> downstream(dataset.size());
   {
     const sscor::metrics::ScopedTimer timer("eval.downstream_gen");
-    TRACE_SPAN("eval.downstream_gen");
     parallel_for(
         dataset.size(),
         [&](std::size_t i) {
@@ -97,89 +95,68 @@ std::vector<DetectorMetrics> evaluate_point(
     metrics[d].detector = detectors[d]->name();
   }
 
+  // Runs every detector on each (upstream i, downstream j) pair and folds
+  // the outcomes into each detector's `rate` (the fraction called
+  // correlated) and `cost` statistic; `kind` labels the decode-trace
+  // records.  Pair-outer / detector-inner: the watermark-independent
+  // matching phase is computed once per pair and shared by every detector
+  // with the same key, so at most one MatchContext is alive per worker.
+  const auto run_pairs =
+      [&](const char* kind,
+          const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+          double DetectorMetrics::*rate, RunningStats DetectorMetrics::*cost) {
+        std::vector<std::vector<DetectionOutcome>> outcomes(
+            detectors.size(), std::vector<DetectionOutcome>(pairs.size()));
+        parallel_for(
+            pairs.size(),
+            [&](std::size_t k) {
+              TRACE_SPAN("eval.pair");
+              const auto& [i, j] = pairs[k];
+              const trace::DecodePairScope pair_scope(
+                  trace::decode_enabled() ? pair_label(request, kind, i, j)
+                                          : std::string());
+              const WatermarkedFlow& up = dataset.upstream(i);
+              const Flow& down = downstream[j];
+              std::vector<std::pair<MatchContextKey, MatchContext>> contexts;
+              for (std::size_t d = 0; d < detectors.size(); ++d) {
+                const auto key = detectors[d]->shared_match_key();
+                const MatchContext* context =
+                    key ? &context_for(contexts, up.flow, down, *key)
+                        : nullptr;
+                outcomes[d][k] =
+                    detectors[d]->detect_with_context(up, down, context);
+              }
+            },
+            threads);
+        // Reduce sequentially so the statistics are schedule-independent.
+        for (std::size_t d = 0; d < detectors.size(); ++d) {
+          std::size_t correlated = 0;
+          std::uint64_t packets_accessed = 0;
+          for (const auto& outcome : outcomes[d]) {
+            correlated += outcome.correlated;
+            packets_accessed += outcome.cost;
+            (metrics[d].*cost).add(static_cast<double>(outcome.cost));
+          }
+          metrics[d].*rate = static_cast<double>(correlated) /
+                             static_cast<double>(pairs.size());
+          sscor::metrics::counter("eval.detections_run").add(pairs.size());
+          sscor::metrics::counter("eval.packets_accessed")
+              .add(packets_accessed);
+        }
+      };
+
   if (request.run_detection) {
     const sscor::metrics::ScopedTimer timer("eval.detection");
-    TRACE_SPAN("eval.detection");
-    // Pair-outer / detector-inner: the watermark-independent matching
-    // phase is computed once per pair and shared by every detector with
-    // the same key, so at most one MatchContext is alive per worker.
-    std::vector<std::vector<DetectionOutcome>> outcomes(
-        detectors.size(), std::vector<DetectionOutcome>(dataset.size()));
-    parallel_for(
-        dataset.size(),
-        [&](std::size_t i) {
-          TRACE_SPAN("eval.pair");
-          const trace::DecodePairScope pair_scope(
-              trace::decode_enabled() ? pair_label(request, "det", i, i)
-                                      : std::string());
-          const WatermarkedFlow& up = dataset.upstream(i);
-          const Flow& down = downstream[i];
-          std::vector<std::pair<MatchContextKey, MatchContext>> contexts;
-          for (std::size_t d = 0; d < detectors.size(); ++d) {
-            const auto key = detectors[d]->shared_match_key();
-            const MatchContext* context =
-                key ? &context_for(contexts, up.flow, down, *key) : nullptr;
-            outcomes[d][i] =
-                detectors[d]->detect_with_context(up, down, context);
-          }
-        },
-        threads);
-    // Reduce sequentially so the statistics are schedule-independent.
-    for (std::size_t d = 0; d < detectors.size(); ++d) {
-      std::size_t detected = 0;
-      std::uint64_t packets_accessed = 0;
-      for (const auto& outcome : outcomes[d]) {
-        detected += outcome.correlated;
-        packets_accessed += outcome.cost;
-        metrics[d].cost_correlated.add(static_cast<double>(outcome.cost));
-      }
-      metrics[d].detection_rate =
-          static_cast<double>(detected) / static_cast<double>(dataset.size());
-      sscor::metrics::counter("eval.detections_run").add(outcomes[d].size());
-      sscor::metrics::counter("eval.packets_accessed").add(packets_accessed);
-    }
+    std::vector<std::pair<std::size_t, std::size_t>> pairs(dataset.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) pairs[i] = {i, i};
+    run_pairs("det", pairs, &DetectorMetrics::detection_rate,
+              &DetectorMetrics::cost_correlated);
   }
-
   if (request.run_false_positive) {
     const sscor::metrics::ScopedTimer timer("eval.false_positive");
-    TRACE_SPAN("eval.false_positive");
-    const auto pairs = dataset.sample_fp_pairs(dataset.config().fp_pairs);
-    std::vector<std::vector<DetectionOutcome>> outcomes(
-        detectors.size(), std::vector<DetectionOutcome>(pairs.size()));
-    parallel_for(
-        pairs.size(),
-        [&](std::size_t k) {
-          TRACE_SPAN("eval.pair");
-          const auto& [i, j] = pairs[k];
-          const trace::DecodePairScope pair_scope(
-              trace::decode_enabled() ? pair_label(request, "fp", i, j)
-                                      : std::string());
-          const WatermarkedFlow& up = dataset.upstream(i);
-          const Flow& down = downstream[j];
-          std::vector<std::pair<MatchContextKey, MatchContext>> contexts;
-          for (std::size_t d = 0; d < detectors.size(); ++d) {
-            const auto key = detectors[d]->shared_match_key();
-            const MatchContext* context =
-                key ? &context_for(contexts, up.flow, down, *key) : nullptr;
-            outcomes[d][k] =
-                detectors[d]->detect_with_context(up, down, context);
-          }
-        },
-        threads);
-    for (std::size_t d = 0; d < detectors.size(); ++d) {
-      std::size_t false_positives = 0;
-      std::uint64_t packets_accessed = 0;
-      for (const auto& outcome : outcomes[d]) {
-        false_positives += outcome.correlated;
-        packets_accessed += outcome.cost;
-        metrics[d].cost_uncorrelated.add(static_cast<double>(outcome.cost));
-      }
-      metrics[d].false_positive_rate =
-          static_cast<double>(false_positives) /
-          static_cast<double>(pairs.size());
-      sscor::metrics::counter("eval.detections_run").add(outcomes[d].size());
-      sscor::metrics::counter("eval.packets_accessed").add(packets_accessed);
-    }
+    run_pairs("fp", dataset.sample_fp_pairs(dataset.config().fp_pairs),
+              &DetectorMetrics::false_positive_rate,
+              &DetectorMetrics::cost_uncorrelated);
   }
   return metrics;
 }

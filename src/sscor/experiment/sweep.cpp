@@ -9,7 +9,6 @@
 #include "sscor/util/error.hpp"
 #include "sscor/util/metrics.hpp"
 #include "sscor/util/parallel.hpp"
-#include "sscor/util/trace.hpp"
 
 namespace sscor::experiment {
 namespace {
@@ -106,8 +105,7 @@ std::vector<std::string> compute_row(const Dataset& dataset,
                                      const ExperimentConfig& config,
                                      const SweepSpec& spec,
                                      const SweepPlan::Point& point) {
-  const sscor::metrics::ScopedTimer point_timer("sweep.point");
-  TRACE_SPAN("sweep.point");
+  const metrics::ScopedTimer timer("sweep.point");
   const auto detectors = paper_detectors(config, point.delay);
   EvaluationRequest request;
   request.max_delay = point.delay;
@@ -180,8 +178,7 @@ std::string to_string(Metric metric) {
 
 TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
                     const ProgressFn& progress) {
-  const metrics::ScopedTimer sweep_timer("sweep.run");
-  TRACE_SPAN("sweep.run");
+  const metrics::ScopedTimer timer("sweep.run");
   const SweepPlan plan = build_plan(config, spec);
   const auto& points = plan.points;
   metrics::counter("sweep.points").add(points.size());
@@ -223,8 +220,7 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
   require(shard.index < shard.count, "shard index out of range");
   require(!shard.journal_dir.empty(), "journaled sweep needs a journal dir");
 
-  const metrics::ScopedTimer sweep_timer("sweep.run_shard");
-  TRACE_SPAN("sweep.run_shard");
+  const metrics::ScopedTimer timer("sweep.run_shard");
   const SweepPlan plan = build_plan(config, spec);
   const std::size_t point_count = plan.points.size();
 

@@ -343,7 +343,7 @@ void DurableSession::final_snapshot(StreamEngine& engine) {
 }
 
 void DurableSession::write_snapshot(StreamEngine& engine) {
-  const metrics::ScopedTimer timer("durability.snapshot.write_us");
+  const metrics::ScopedTimer timer("durability.snapshot.write");
   const EngineSnapshot snapshot = engine.snapshot();
   const std::string tmp = snapshot_path_ + ".tmp";
   {

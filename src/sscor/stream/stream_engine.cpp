@@ -94,8 +94,8 @@ struct StreamEngine::Metrics {
       metrics::histogram("stream.table.occupancy");
   metrics::Histogram& table_buffered =
       metrics::histogram("stream.table.buffered");
-  metrics::TimerStat& flush = metrics::timer("stream.flush");
-  metrics::TimerStat& finish = metrics::timer("stream.finish");
+  metrics::Histogram& flush_us = metrics::histogram("stream.flush_us");
+  metrics::Histogram& finish_us = metrics::histogram("stream.finish_us");
   metrics::Gauge& flows_live = metrics::gauge("stream.flows.live");
   metrics::Gauge& packets_buffered = metrics::gauge("stream.packets.buffered");
 
@@ -163,8 +163,7 @@ void StreamEngine::ingest(const StreamPacket& packet) {
 
 void StreamEngine::flush() {
   if (pending_total_ == 0) return;
-  TRACE_SPAN("stream.flush");
-  const metrics::ScopedTimer timer(metrics_.flush);
+  const metrics::ScopedTimer timer(metrics_.flush_us, "stream.flush");
   parallel_for(
       shards_.size(), [this](std::size_t shard) { process_shard(shard); },
       options_.threads);
@@ -178,8 +177,7 @@ void StreamEngine::finish() {
   if (finished_) return;
   flush();
   finished_ = true;
-  TRACE_SPAN("stream.finish");
-  const metrics::ScopedTimer timer(metrics_.finish);
+  const metrics::ScopedTimer timer(metrics_.finish_us, "stream.finish");
   parallel_for(
       shards_.size(), [this](std::size_t shard) { finalize_shard(shard); },
       options_.threads);

@@ -46,15 +46,8 @@ void StreamTelemetry::start(const std::string& host, std::uint16_t port) {
 
 void StreamTelemetry::stop() { server_.stop(); }
 
-std::string StreamTelemetry::metrics_text() {
-  const metrics::Snapshot snap = metrics::snapshot();
-  std::vector<metrics::RateSample> rates;
-  {
-    const std::lock_guard<std::mutex> lock(scrape_mutex_);
-    rates = tracker_.update(snap,
-                            static_cast<double>(steady_now_us()) / 1e6);
-  }
-  return metrics::render_prometheus(snap, rates);
+std::string StreamTelemetry::metrics_text() const {
+  return metrics::render_prometheus(metrics::snapshot());
 }
 
 bool StreamTelemetry::overloaded() const {

@@ -6,9 +6,9 @@
 // EngineStatus, and the HTTP stats server — into the endpoints an operator
 // or scraper consumes:
 //
-//   /metrics  Prometheus text exposition of the whole registry, plus
-//             per-counter rates (packets/s, verdicts/s, evictions/s)
-//             computed between consecutive scrapes by a DeltaTracker;
+//   /metrics  Prometheus text exposition of the whole registry, a pure
+//             read: rates are the scraper's to take, so any number of
+//             scrapers see the same series;
 //   /healthz  liveness + overload state: "ok" until a pressure eviction
 //             (flow-count or memory bound) happened within the overload
 //             window, then "overloaded" until the window drains;
@@ -32,7 +32,6 @@
 #include "sscor/net/stats_server.hpp"
 #include "sscor/stream/socket_source.hpp"
 #include "sscor/stream/stream_engine.hpp"
-#include "sscor/util/gauge.hpp"
 
 namespace sscor::stream {
 
@@ -56,9 +55,8 @@ class StreamTelemetry {
   std::uint64_t requests_served() const { return server_.requests_served(); }
 
   /// Endpoint bodies, exposed directly so tests and tools can render
-  /// without a socket.  metrics_text() advances the rate tracker (each
-  /// call is "a scrape"); the other two are pure reads.
-  std::string metrics_text();
+  /// without a socket.  All three are pure reads.
+  std::string metrics_text() const;
   std::string statusz_json() const;
   std::string healthz_json() const;
 
@@ -89,8 +87,6 @@ class StreamTelemetry {
   StreamEngine& engine_;
   net::StatsServer server_;
   std::int64_t start_us_ = 0;  ///< steady-clock birth of this surface
-  mutable std::mutex scrape_mutex_;  ///< serialises the DeltaTracker
-  metrics::DeltaTracker tracker_;
   std::atomic<bool> draining_{false};
   mutable std::mutex source_mutex_;  ///< guards the provider swap
   std::function<SocketSourceStats()> source_stats_;

@@ -19,6 +19,16 @@ namespace sscor {
 class Error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+  /// A failed check raised in `function`: what() reads
+  /// "<function>: <message>".
+  Error(std::string_view function, std::string_view message);
+
+  /// what() without the raising function's name, which only a failed
+  /// check carries: the text a user is shown.
+  const char* message() const noexcept { return what() + message_offset_; }
+
+ private:
+  std::size_t message_offset_ = 0;
 };
 
 /// A caller violated a documented precondition.

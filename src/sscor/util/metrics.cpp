@@ -3,7 +3,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "sscor/util/json.hpp"
 
@@ -17,7 +16,6 @@ namespace {
 struct Registry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<TimerStat>> timers;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
 };
@@ -27,14 +25,6 @@ Registry& registry() {
   return r;
 }
 
-std::string format_seconds(double seconds) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << seconds;
-  return os.str();
-}
-
 }  // namespace
 
 Counter& counter(const std::string& name) {
@@ -42,14 +32,6 @@ Counter& counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(r.mutex);
   auto& slot = r.counters[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-TimerStat& timer(const std::string& name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  auto& slot = r.timers[name];
-  if (!slot) slot = std::make_unique<TimerStat>();
   return *slot;
 }
 
@@ -77,10 +59,6 @@ Snapshot snapshot() {
   for (const auto& [name, c] : r.counters) {
     snap.counters.push_back({name, c->value()});
   }
-  snap.timers.reserve(r.timers.size());
-  for (const auto& [name, t] : r.timers) {
-    snap.timers.push_back({name, t->count(), t->total_seconds()});
-  }
   snap.histograms.reserve(r.histograms.size());
   for (const auto& [name, h] : r.histograms) {
     snap.histograms.push_back({name, h->snapshot()});
@@ -96,7 +74,6 @@ void reset() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);
   for (const auto& [name, c] : r.counters) c->reset();
-  for (const auto& [name, t] : r.timers) t->reset();
   for (const auto& [name, h] : r.histograms) h->reset();
   for (const auto& [name, g] : r.gauges) g->reset();
 }
@@ -106,10 +83,6 @@ TextTable Snapshot::to_table() const {
   for (const auto& c : counters) {
     table.add_row({"counter", c.name, TextTable::cell(c.value), "", "", "",
                    ""});
-  }
-  for (const auto& t : timers) {
-    table.add_row({"timer", t.name, TextTable::cell(t.count),
-                   format_seconds(t.seconds) + "s", "", "", ""});
   }
   for (const auto& g : gauges) {
     table.add_row({"gauge", g.name, "", TextTable::cell(g.value), "", "",
@@ -133,16 +106,6 @@ std::string Snapshot::to_json() const {
     first = false;
     json::append_escaped(out, c.name);
     out += ": " + std::to_string(c.value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"timers\": {";
-  first = true;
-  for (const auto& t : timers) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    json::append_escaped(out, t.name);
-    out += ": {\"count\": " + std::to_string(t.count) +
-           ", \"seconds\": " + format_seconds(t.seconds) + "}";
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";

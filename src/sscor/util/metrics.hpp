@@ -1,21 +1,24 @@
-// Run metrics: named monotonic counters and accumulated wall-clock timers.
+// Run metrics: named monotonic counters, histograms and gauges, and the
+// one way to time a phase.
 //
 // The experiment harness needs a perf trajectory — how many flows were
 // generated, how many detector runs executed, how many packets the
 // correlators accessed, and how long each phase took — without threading a
 // context object through every layer.  A process-wide registry of named
-// atomic counters/timers does that: any layer bumps its counter, the bench
-// front ends snapshot the registry and print it as a table or dump it as
-// JSON (--metrics-json).
+// atomic metrics does that: any layer bumps its counter, the bench front
+// ends snapshot the registry and print it as a table or dump it as JSON
+// (--metrics-json), and the daemon serves it on /metrics.  A phase's time
+// is a histogram of its scopes' microseconds (ScopedTimer), so the
+// registry holds no separate timer kind.
 //
-// Counters and timers are thread-safe (relaxed atomics; totals are exact,
+// Every metric is thread-safe (relaxed atomics; totals are exact,
 // order-independent integers).  The registry is one std::map per kind
-// behind a single mutex, so every counter()/timer()/histogram()/gauge()
-// call builds a key string, takes that lock and walks the map.  The
-// references it hands out stay valid for the process lifetime, so a call
-// site that binds its handle once (a function-local static reference or a
-// member bound at construction) pays one relaxed atomic add per event; one
-// that looks its name up per event pays the lock and the walk every time.
+// behind a single mutex, so every counter()/histogram()/gauge() call
+// builds a key string, takes that lock and walks the map.  The references
+// it hands out stay valid for the process lifetime, so a call site that
+// binds its handle once (a function-local static reference or a member
+// bound at construction) pays one relaxed atomic add per event; one that
+// looks its name up per event pays the lock and the walk every time.
 
 #pragma once
 
@@ -25,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "sscor/util/gauge.hpp"
 #include "sscor/util/histogram.hpp"
 #include "sscor/util/table.hpp"
+#include "sscor/util/trace.hpp"
 
 namespace sscor::metrics {
 
@@ -46,74 +49,67 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Accumulated wall-clock time over any number of scoped measurements,
-/// kept in nanoseconds so sub-microsecond scopes still add up.
-class TimerStat {
+/// A settable level (current value, not an accumulating total), such as
+/// the live flows the engine publishes at flush boundaries.  set() and
+/// add() are wait-free relaxed atomics, safe from any thread.
+class Gauge {
  public:
-  void add_nanos(std::int64_t ns) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
+  std::int64_t value() const {
+    return value_.load(std::memory_order_relaxed);
   }
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double total_seconds() const {
-    return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) /
-           1e9;
-  }
-  void reset() {
-    count_.store(0, std::memory_order_relaxed);
-    total_ns_.store(0, std::memory_order_relaxed);
-  }
+  void reset() { set(0); }
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::int64_t> total_ns_{0};
+  std::atomic<std::int64_t> value_{0};
 };
 
-/// Returns the counter / timer / histogram / gauge registered under
-/// `name`, creating it on first use.  References remain valid for the
-/// process lifetime.
+/// Returns the counter / histogram / gauge registered under `name`,
+/// creating it on first use.  References remain valid for the process
+/// lifetime.
 Counter& counter(const std::string& name);
-TimerStat& timer(const std::string& name);
 Histogram& histogram(const std::string& name);
 Gauge& gauge(const std::string& name);
 
-/// RAII wall-clock measurement added to a TimerStat on destruction.  The
-/// clock is std::chrono::steady_clock (never wall time, which can step) and
-/// the recording happens on unwind, so a scope that exits by exception is
-/// still measured.  Per-event scopes pass a handle bound once; the by-name
-/// form looks the timer up in the registry on every construction.
+/// Times a phase.  On scope exit, an exception's unwind included, it
+/// records the scope's wall clock in whole microseconds into a registry
+/// histogram; while spans are on (trace::set_spans_enabled) it also
+/// records the trace span `span` over the same scope.  The clock is
+/// std::chrono::steady_clock (never wall time, which can step).  A site
+/// that runs per event binds its histogram once and passes it in; the
+/// by-name form, for phases that run a few times per run, looks up the
+/// histogram "<name>_us" on every construction.  Span names must be
+/// string literals (trace.hpp).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(TimerStat& stat)
-      : stat_(stat), start_(std::chrono::steady_clock::now()) {}
-  explicit ScopedTimer(const std::string& name) : ScopedTimer(timer(name)) {}
+  ScopedTimer(Histogram& sink, const char* span)
+      : histogram_(sink),
+        span_(span),
+        start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(const char* name)
+      : ScopedTimer(histogram(std::string(name) + "_us"), name) {}
   ~ScopedTimer() noexcept {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    stat_.add_nanos(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
+    histogram_.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+            .count()));
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  TimerStat& stat_;
+  Histogram& histogram_;
+  trace::Span span_;
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Point-in-time copy of every registered counter and timer, sorted by
-/// name so output is stable across runs and thread schedules.
+/// Point-in-time copy of every registered metric, sorted by name so
+/// output is stable across runs and thread schedules.
 struct Snapshot {
   struct CounterEntry {
     std::string name;
     std::uint64_t value = 0;
-  };
-  struct TimerEntry {
-    std::string name;
-    std::uint64_t count = 0;
-    double seconds = 0.0;
   };
   struct HistogramEntry {
     std::string name;
@@ -124,7 +120,6 @@ struct Snapshot {
     std::int64_t value = 0;
   };
   std::vector<CounterEntry> counters;
-  std::vector<TimerEntry> timers;
   std::vector<HistogramEntry> histograms;
   std::vector<GaugeEntry> gauges;
 
@@ -132,7 +127,7 @@ struct Snapshot {
   /// (kind | name | count | value | p50 | p95 | p99); the percentile
   /// columns are filled for histograms (value = mean) and empty otherwise.
   TextTable to_table() const;
-  /// {"counters": {name: value...}, "timers": {name: {count, seconds}...},
+  /// {"counters": {name: value...},
   ///  "histograms": {name: {count, sum, mean, p50, p95, p99, max}...},
   ///  "gauges": {name: value...}}
   std::string to_json() const;
@@ -140,8 +135,8 @@ struct Snapshot {
 
 Snapshot snapshot();
 
-/// Zeroes every registered counter and timer (test isolation; references
-/// stay valid).
+/// Zeroes every registered metric (test isolation; references stay
+/// valid).
 void reset();
 
 }  // namespace sscor::metrics

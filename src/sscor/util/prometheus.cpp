@@ -1,17 +1,9 @@
 #include "sscor/util/prometheus.hpp"
 
-#include <cstdio>
-
 #include "sscor/util/histogram.hpp"
 
 namespace sscor::metrics {
 namespace {
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
 
 void append_family_header(std::string& out, const std::string& family,
                           std::string_view original, const char* kind,
@@ -36,8 +28,7 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-std::string render_prometheus(const Snapshot& snap,
-                              const std::vector<RateSample>& rates) {
+std::string render_prometheus(const Snapshot& snap) {
   std::string out;
   for (const auto& c : snap.counters) {
     const std::string family = "sscor_" + prometheus_name(c.name) + "_total";
@@ -48,15 +39,6 @@ std::string render_prometheus(const Snapshot& snap,
     const std::string family = "sscor_" + prometheus_name(g.name);
     append_family_header(out, family, g.name, "gauge", "gauge");
     out += family + " " + std::to_string(g.value) + "\n";
-  }
-  for (const auto& t : snap.timers) {
-    const std::string base = "sscor_" + prometheus_name(t.name);
-    const std::string seconds = base + "_seconds_total";
-    append_family_header(out, seconds, t.name, "timer", "counter");
-    out += seconds + " " + format_double(t.seconds) + "\n";
-    const std::string invocations = base + "_invocations_total";
-    append_family_header(out, invocations, t.name, "timer", "counter");
-    out += invocations + " " + std::to_string(t.count) + "\n";
   }
   for (const auto& h : snap.histograms) {
     const std::string family = "sscor_" + prometheus_name(h.name);
@@ -93,13 +75,6 @@ std::string render_prometheus(const Snapshot& snap,
       out += quantile + "{q=\"" + label + "\"} " +
              std::to_string(h.data.percentile(q)) + "\n";
     }
-  }
-  for (const auto& r : rates) {
-    const std::string family =
-        "sscor_" + prometheus_name(r.name) + "_per_second";
-    append_family_header(out, family, r.name, "scrape-interval rate",
-                         "gauge");
-    out += family + " " + format_double(r.per_second) + "\n";
   }
   return out;
 }

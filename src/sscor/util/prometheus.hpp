@@ -6,14 +6,18 @@
 //
 //   counter  c        -> sscor_<c>_total                (TYPE counter)
 //   gauge    g        -> sscor_<g>                      (TYPE gauge)
-//   timer    t        -> sscor_<t>_seconds_total and
-//                        sscor_<t>_invocations_total    (TYPE counter)
 //   histogram h       -> sscor_<h>_bucket{le="..."} cumulative buckets,
 //                        sscor_<h>_sum, sscor_<h>_count (TYPE histogram)
 //                        plus sscor_<h>_quantile{q="0.5"|"0.95"|"0.99"}
 //                        gauges (the registry's deterministic
 //                        bucket-lower-bound percentiles)
-//   rate sample r     -> sscor_<r>_per_second           (TYPE gauge)
+//
+// A timed phase is a histogram of microseconds (metrics::ScopedTimer), so
+// sscor_<phase>_us_sum / _count give its total time and invocations.
+// Rendering is a pure read of the registry: rates are the consumer's to
+// take, e.g. rate(sscor_stream_packets_ingested_total[1m]) in Prometheus
+// (sscor_tool top takes its own from /statusz), so any number of scrapers
+// see the same series.
 //
 // Registry names are sanitized ([^a-zA-Z0-9_] -> '_'); the original name
 // is preserved in the HELP line.  `le` labels carry each log-linear
@@ -25,9 +29,7 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "sscor/util/gauge.hpp"
 #include "sscor/util/metrics.hpp"
 
 namespace sscor::metrics {
@@ -35,9 +37,7 @@ namespace sscor::metrics {
 /// `name` with every character outside [a-zA-Z0-9_] replaced by '_'.
 std::string prometheus_name(std::string_view name);
 
-/// Renders the whole snapshot (plus optional per-scrape rate samples from
-/// a DeltaTracker) as Prometheus text exposition format.
-std::string render_prometheus(const Snapshot& snap,
-                              const std::vector<RateSample>& rates = {});
+/// Renders the whole snapshot as Prometheus text exposition format.
+std::string render_prometheus(const Snapshot& snap);
 
 }  // namespace sscor::metrics

@@ -7,9 +7,9 @@
 //    per-thread ring buffer.  export_chrome_json() renders every recorded
 //    span as Chrome trace_event JSON ("ph":"X" complete events), loadable
 //    in Perfetto / chrome://tracing.  When tracing is runtime-disabled the
-//    whole span is one inlined relaxed atomic load; when the build defines
-//    SSCOR_TRACE_DISABLED (-DSSCOR_TRACE=OFF) the macro compiles to
-//    nothing.
+//    whole span is one inlined relaxed atomic load.  A phase that also
+//    wants its time in the metrics registry uses metrics::ScopedTimer,
+//    which records this span itself; TRACE_SPAN is for span-only scopes.
 //
 //  * Decode introspection records one structured row per correlator run —
 //    per-bit decode outcome, matched-vs-chaff packet counts, window-scan
@@ -45,13 +45,9 @@ extern std::atomic<bool> g_spans_enabled;
 extern std::atomic<bool> g_decode_enabled;
 }  // namespace detail
 
-#if defined(SSCOR_TRACE_DISABLED)
-constexpr bool spans_enabled() { return false; }
-#else
 inline bool spans_enabled() {
   return detail::g_spans_enabled.load(std::memory_order_relaxed);
 }
-#endif
 
 inline bool decode_enabled() {
   return detail::g_decode_enabled.load(std::memory_order_relaxed);
@@ -75,7 +71,8 @@ struct SpanEvent {
   std::uint32_t tid = 0;        ///< registration-ordered thread id, from 1
 };
 
-/// RAII span; use through TRACE_SPAN rather than directly.
+/// RAII span; use through TRACE_SPAN (or metrics::ScopedTimer) rather
+/// than directly.
 class Span {
  public:
   explicit Span(const char* name) {
@@ -99,12 +96,8 @@ class Span {
 
 #define SSCOR_TRACE_CAT2_(a, b) a##b
 #define SSCOR_TRACE_CAT_(a, b) SSCOR_TRACE_CAT2_(a, b)
-#if defined(SSCOR_TRACE_DISABLED)
-#define TRACE_SPAN(name) ((void)0)
-#else
 #define TRACE_SPAN(name) \
   const ::sscor::trace::Span SSCOR_TRACE_CAT_(sscor_span_, __LINE__)(name)
-#endif
 
 /// All recorded spans from every thread, sorted by (tid, start, -duration,
 /// depth) — parents sort before their children.

@@ -76,30 +76,47 @@ WatermarkSecret read_secret_text(std::istream& in) {
     }
     return it->second;
   };
-  // Numbers follow parse_unsigned's rule and must fit their field.
-  auto number = [&](std::string_view name, std::uint64_t max) {
+  // Numbers follow parse_unsigned's rule and must fit their field.  The
+  // four parameters must also be at least `min` = 1, the bounds
+  // WatermarkParams::validate() checks, so a bad file fails here, by name.
+  auto number = [&](std::string_view name, std::uint64_t min,
+                    std::uint64_t max) {
+    const std::string what = "key-file field " + std::string(name);
+    const std::string& text = get(name);
+    std::uint64_t value = 0;
     try {
-      return parse_unsigned(get(name), "key-file field " + std::string(name),
-                            max);
+      value = parse_unsigned(text, what, max);
     } catch (const InvalidArgument& e) {
       throw IoError(e.what());
     }
+    if (value < min) {
+      throw IoError(what + " must be at least " + std::to_string(min) +
+                    ", got \"" + text + "\"");
+    }
+    return value;
   };
 
   constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   WatermarkSecret secret;
-  secret.params.bits = static_cast<std::uint32_t>(number("bits", kMaxU32));
+  secret.params.bits = static_cast<std::uint32_t>(number("bits", 1, kMaxU32));
   secret.params.redundancy =
-      static_cast<std::uint32_t>(number("redundancy", kMaxU32));
+      static_cast<std::uint32_t>(number("redundancy", 1, kMaxU32));
   secret.params.pair_offset =
-      static_cast<std::uint32_t>(number("pair_offset", kMaxU32));
+      static_cast<std::uint32_t>(number("pair_offset", 1, kMaxU32));
   secret.params.embedding_delay = static_cast<DurationUs>(number(
-      "embedding_delay_us", std::numeric_limits<DurationUs>::max()));
-  secret.key = number("key", std::numeric_limits<std::uint64_t>::max());
-  secret.watermark = Watermark::parse(get("watermark"));
-  secret.params.validate();
-  require(secret.watermark.size() == secret.params.bits,
-          "key file watermark length does not match its parameters");
+      "embedding_delay_us", 1, std::numeric_limits<DurationUs>::max()));
+  secret.key = number("key", 0, std::numeric_limits<std::uint64_t>::max());
+  const std::string& bits = get("watermark");
+  if (bits.find_first_not_of("01") != std::string::npos) {
+    throw IoError("key-file field watermark must be binary, got \"" + bits +
+                  "\"");
+  }
+  if (bits.size() != secret.params.bits) {
+    throw IoError("key-file field watermark has " +
+                  std::to_string(bits.size()) + " bits, but field bits is " +
+                  std::to_string(secret.params.bits));
+  }
+  secret.watermark = Watermark::parse(bits);
   return secret;
 }
 

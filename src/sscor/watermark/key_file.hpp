@@ -44,9 +44,10 @@ void write_secret_text(std::ostream& out, const WatermarkSecret& secret);
 void write_secret_file(const std::string& path,
                        const WatermarkSecret& secret);
 
-/// Throws IoError on malformed input: a bad line, or a field that is
-/// unknown, repeated, missing or not a number that fits (each named).  The
-/// watermark and the parameters are validated too (InvalidArgument).
+/// Throws IoError on malformed input, naming what it refused: a bad line; a
+/// field that is unknown, repeated or missing; a number that does not fit
+/// its field, or a parameter below 1; a watermark that is not binary or
+/// whose length is not `bits`.
 WatermarkSecret read_secret_text(std::istream& in);
 WatermarkSecret read_secret_file(const std::string& path);
 

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <source_location>
 #include <string>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "sscor/traffic/interactive_model.hpp"
 #include "sscor/traffic/perturbation.hpp"
 #include "sscor/util/error.hpp"
+#include "sscor/util/metrics.hpp"
 #include "sscor/util/rng.hpp"
 #include "sscor/watermark/decode_plan.hpp"
 #include "sscor/watermark/embedder.hpp"
@@ -227,6 +229,42 @@ TEST(HotPath, WarmDecodeAllocatesOnlyItsResult) {
       EXPECT_LE(bytes, params.bits) << to_string(algorithm);
     }
   }
+}
+
+TEST(HotPath, AbortedDecodeIsTimedAndCounted) {
+  // A decode that dies by exception, here its one allocation failing,
+  // still records its latency sample and counts as aborted: the abort path
+  // itself allocates nothing.
+  const WatermarkParams params = small_watermark();
+  Rng rng(86);
+  const WatermarkedFlow marked = Embedder(params, 87).embed(
+      traffic::InteractiveSessionModel().generate(300, 0, 88),
+      Watermark::random(params.bits, rng));
+  const Flow down =
+      traffic::UniformPerturber(seconds(std::int64_t{4}), 89)
+          .apply(marked.flow);
+  const CorrelatorConfig config = small_config();
+  const MatchContext context =
+      MatchContext::build(marked.flow, down, config.max_delay, std::nullopt);
+  const Correlator correlator(config, Algorithm::kGreedyPlus);
+  (void)correlator.correlate(marked, down, &context);  // binds the handles
+  const metrics::Histogram& latency =
+      metrics::histogram("correlate.latency_us");
+  const metrics::Counter& aborted = metrics::counter("correlate.aborted");
+  const std::uint64_t samples = latency.count();
+  const std::uint64_t aborts = aborted.value();
+  bool threw = false;
+  {
+    const AllocationGuard guard(1);
+    try {
+      (void)correlator.correlate(marked, down, &context);
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(latency.count(), samples + 1);
+  EXPECT_EQ(aborted.value(), aborts + 1);
 }
 
 /// Runs `body`, which must throw exactly `E`; returns its what().

@@ -145,12 +145,6 @@ TEST(KeyFile, RejectsMalformedInput) {
   }
   {
     std::stringstream s(
-        "# sscor-key v1\nbits 4\nredundancy 1\npair_offset 1\n"
-        "embedding_delay_us 1000\nkey 1\nwatermark 10\n");  // wrong length
-    EXPECT_THROW(read_secret_text(s), Error);
-  }
-  {
-    std::stringstream s(
         "# sscor-key v1\nbits xx\nredundancy 1\npair_offset 1\n"
         "embedding_delay_us 1000\nkey 1\nwatermark 1010\n");
     EXPECT_THROW(read_secret_text(s), IoError);
@@ -164,11 +158,12 @@ TEST(KeyFile, RejectsMalformedInput) {
   {
     std::stringstream s("# sscor-key v1\nbits 030\nredundancy 1\n" + rest +
                         "key 1\n" + w24);
-    EXPECT_THROW(read_secret_text(s), Error);
+    EXPECT_THROW(read_secret_text(s), IoError);
   }
-  // A number has no sign and fits its field; a line is exactly "name
-  // value"; a field appears once and is known.  Each error names what it
-  // refused.
+  // A number has no sign and fits its field; a parameter is at least 1; a
+  // watermark is binary and `bits` long; a line is exactly "name value"; a
+  // field appears once and is known.  Each error is an IoError naming what
+  // it refused.
   const struct {
     std::string body;
     std::string named;
@@ -177,6 +172,12 @@ TEST(KeyFile, RejectsMalformedInput) {
       {"bits 4\nredundancy 4294967300\n" + rest + "key 1\n" + w4,
        "redundancy"},
       {"bits 4\nredundancy 1\n" + rest + "key -1\n" + w4, "key"},
+      {"bits 0\nredundancy 1\n" + rest + "key 1\n" + w4, "bits"},
+      {"bits 4\nredundancy 0\n" + rest + "key 1\n" + w4, "redundancy"},
+      {"bits 4\nredundancy 1\n" + rest + "key 1\nwatermark 1x10\n",
+       "watermark"},
+      {"bits 4\nredundancy 1\n" + rest + "key 1\nwatermark 10\n",
+       "watermark"},
       {"bits 24 junk\nredundancy 1\n" + rest + "key 1\n" + w24,
        "bits 24 junk"},
       {"bits 8\nbits 4\nredundancy 1\n" + rest + "key 1\n" + w4, "bits"},

@@ -1,7 +1,7 @@
-// Tests for the live ops surface: Prometheus rendering, the snapshot-delta
-// rate layer, the structured event log, the HTTP stats server/client pair,
-// and the StreamTelemetry endpoints over a real engine — including the
-// invariant the whole surface is built on: telemetry changes no verdict.
+// Tests for the live ops surface: Prometheus rendering, the structured
+// event log, the HTTP stats server/client pair, and the StreamTelemetry
+// endpoints over a real engine — including the invariant the whole surface
+// is built on: telemetry changes no verdict.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "sscor/stream/telemetry.hpp"
 #include "sscor/util/error.hpp"
 #include "sscor/util/event_log.hpp"
-#include "sscor/util/gauge.hpp"
 #include "sscor/util/histogram.hpp"
 #include "sscor/util/json_parse.hpp"
 #include "sscor/util/metrics.hpp"
@@ -56,15 +55,11 @@ TEST(Prometheus, RendersEveryRegistrySection) {
   metrics::reset();
   metrics::counter("prom.test.events").add(42);
   metrics::gauge("prom.test.level").set(-7);
-  metrics::timer("prom.test.phase").add_nanos(1'500'000'000);
   metrics::histogram("prom.test.sizes").record(1);
   metrics::histogram("prom.test.sizes").record(100);
   metrics::histogram("prom.test.sizes").record(100);
 
-  std::vector<metrics::RateSample> rates;
-  rates.push_back({"prom.test.events", 10, 5.0});
-  const std::string text =
-      metrics::render_prometheus(metrics::snapshot(), rates);
+  const std::string text = metrics::render_prometheus(metrics::snapshot());
 
   EXPECT_NE(text.find("# TYPE sscor_prom_test_events_total counter\n"),
             std::string::npos);
@@ -73,10 +68,6 @@ TEST(Prometheus, RendersEveryRegistrySection) {
   EXPECT_NE(text.find("# TYPE sscor_prom_test_level gauge\n"),
             std::string::npos);
   EXPECT_NE(text.find("sscor_prom_test_level -7\n"), std::string::npos);
-  EXPECT_NE(text.find("sscor_prom_test_phase_seconds_total 1.500000\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("sscor_prom_test_phase_invocations_total 1\n"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE sscor_prom_test_sizes histogram\n"),
             std::string::npos);
   EXPECT_NE(text.find("sscor_prom_test_sizes_bucket{le=\"+Inf\"} 3\n"),
@@ -85,8 +76,6 @@ TEST(Prometheus, RendersEveryRegistrySection) {
   EXPECT_NE(text.find("sscor_prom_test_sizes_count 3\n"),
             std::string::npos);
   EXPECT_NE(text.find("sscor_prom_test_sizes_quantile{q=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("sscor_prom_test_events_per_second 5.000000\n"),
             std::string::npos);
   metrics::reset();
 }
@@ -106,63 +95,6 @@ TEST(Prometheus, HistogramBucketsAreCumulativeWithInclusiveBounds) {
   EXPECT_NE(text.find("sscor_prom_test_cume_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   metrics::reset();
-}
-
-metrics::Snapshot counters_only(
-    std::vector<metrics::Snapshot::CounterEntry> counters) {
-  metrics::Snapshot snap;
-  snap.counters = std::move(counters);
-  return snap;
-}
-
-TEST(DeltaTracker, FirstScrapeYieldsNoRates) {
-  metrics::DeltaTracker tracker;
-  const auto rates = tracker.update(counters_only({{"a", 100}}), 10.0);
-  EXPECT_TRUE(rates.empty());
-}
-
-TEST(DeltaTracker, ComputesPerSecondRates) {
-  metrics::DeltaTracker tracker;
-  tracker.update(counters_only({{"a", 100}, {"b", 5}}), 10.0);
-  const auto rates =
-      tracker.update(counters_only({{"a", 150}, {"b", 5}}), 12.0);
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_EQ(rates[0].name, "a");
-  EXPECT_EQ(rates[0].delta, 50u);
-  EXPECT_DOUBLE_EQ(rates[0].per_second, 25.0);
-  EXPECT_EQ(rates[1].delta, 0u);
-  EXPECT_DOUBLE_EQ(rates[1].per_second, 0.0);
-}
-
-TEST(DeltaTracker, CounterResetRestartsFromZero) {
-  metrics::DeltaTracker tracker;
-  tracker.update(counters_only({{"a", 1000}}), 0.0);
-  const auto rates = tracker.update(counters_only({{"a", 30}}), 10.0);
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_EQ(rates[0].delta, 30u);
-  EXPECT_DOUBLE_EQ(rates[0].per_second, 3.0);
-}
-
-TEST(DeltaTracker, NewCounterCountsFromZero) {
-  metrics::DeltaTracker tracker;
-  tracker.update(counters_only({{"a", 1}}), 0.0);
-  const auto rates =
-      tracker.update(counters_only({{"a", 1}, {"fresh", 8}}), 4.0);
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_EQ(rates[1].name, "fresh");
-  EXPECT_EQ(rates[1].delta, 8u);
-  EXPECT_DOUBLE_EQ(rates[1].per_second, 2.0);
-}
-
-TEST(DeltaTracker, NonPositiveIntervalYieldsNoRates) {
-  metrics::DeltaTracker tracker;
-  tracker.update(counters_only({{"a", 1}}), 5.0);
-  EXPECT_TRUE(tracker.update(counters_only({{"a", 2}}), 5.0).empty());
-  EXPECT_TRUE(tracker.update(counters_only({{"a", 3}}), 4.0).empty());
-  // The tracker still rebaselines, so a later sane interval works.
-  const auto rates = tracker.update(counters_only({{"a", 7}}), 6.0);
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_EQ(rates[0].delta, 4u);
 }
 
 TEST(EventLog, WritesParsableRecordsAndHonoursSeverityFloor) {
@@ -358,7 +290,7 @@ TEST(Prometheus, LadderTierFamiliesAreDistinct) {
   ASSERT_GT(degraded, 0u) << "no decode fell back a tier";
 
   const std::string text =
-      metrics::render_prometheus(metrics::snapshot(), {});
+      metrics::render_prometheus(metrics::snapshot());
   std::istringstream lines(text);
   std::set<std::string> families;
   std::size_t tier_families = 0;
@@ -431,12 +363,35 @@ TEST(StreamTelemetry, EndpointsDescribeALiveEngine) {
   EXPECT_NE(prom.body.find("sscor_stream_flows_live "), std::string::npos);
   EXPECT_NE(prom.body.find("sscor_stream_shard_0_flows "),
             std::string::npos);
-  // A second scrape has a baseline, so rate gauges appear.
-  const net::HttpResult prom2 =
-      net::http_get("127.0.0.1", telemetry.port(), "/metrics");
-  EXPECT_NE(prom2.body.find("_per_second "), std::string::npos);
 
   telemetry.stop();
+  metrics::reset();
+}
+
+// /metrics is a pure read of the registry: a scrape moves no baseline, so
+// two scrapes with nothing recorded between them are byte-identical, and
+// any number of scrapers see the same series.  A timed phase is there as
+// its microseconds histogram.
+TEST(StreamTelemetry, MetricsScrapeIsAPureRead) {
+  metrics::reset();
+  experiment::StreamCorpusConfig config;
+  config.watermarked_flows = 1;
+  config.decoy_flows = 3;
+  config.packets_per_flow = 200;
+  config.watermark = small_watermark();
+  const experiment::StreamCorpus corpus = experiment::make_stream_corpus(config);
+  stream::StreamEngine engine(corpus.upstreams, CorrelatorConfig{},
+                              small_engine_options(2));
+  stream::StreamTelemetry telemetry(engine);
+  for (const auto& packet : corpus.packets) engine.ingest(packet);
+  engine.finish();
+
+  const std::string first = telemetry.metrics_text();
+  const std::string second = telemetry.metrics_text();
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first.find("# TYPE sscor_stream_flush_us histogram\n"),
+            std::string::npos);
+  EXPECT_NE(first.find("sscor_stream_flush_us_count "), std::string::npos);
   metrics::reset();
 }
 

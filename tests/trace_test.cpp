@@ -251,9 +251,7 @@ TEST(HistogramTest, ConcurrentRecordingKeepsExactTotals) {
 }
 
 // ---------------------------------------------------------------------------
-// Spans.  Only meaningful when the macro is compiled in.
-
-#if !defined(SSCOR_TRACE_DISABLED)
+// Spans.
 
 TEST(SpanTest, DisabledRecordsNothing) {
   trace::set_spans_enabled(false);
@@ -375,7 +373,23 @@ TEST(SpanTest, ChromeJsonGolden) {
   trace::clear_spans();
 }
 
-#endif  // !defined(SSCOR_TRACE_DISABLED)
+// A timed phase needs no TRACE_SPAN beside it: the timer records the one
+// span of its name, and its histogram sample, over the same scope.
+TEST(SpanTest, ScopedTimerRecordsOneSpanOfItsName) {
+  metrics::Histogram& hist = metrics::histogram("span_test.timed_us");
+  hist.reset();
+  trace::clear_spans();
+  trace::set_spans_enabled(true);
+  {
+    const metrics::ScopedTimer timer("span_test.timed");
+  }
+  trace::set_spans_enabled(false);
+  const std::vector<trace::SpanEvent> events = trace::snapshot_spans();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(std::string(events[0].name), "span_test.timed");
+  EXPECT_EQ(hist.count(), 1u);
+  trace::clear_spans();
+}
 
 // ---------------------------------------------------------------------------
 // Decode introspection.
@@ -522,13 +536,14 @@ TEST(DecodeTraceTest, JsonlIsByteIdenticalAcrossThreadCounts) {
 // Metrics integration.
 
 TEST(MetricsTest, ScopedTimerRecordsWhenUnwindingThroughAnException) {
-  const std::uint64_t before = metrics::timer("trace_test.throw").count();
+  metrics::Histogram& hist = metrics::histogram("trace_test.throw_us");
+  const std::uint64_t before = hist.count();
   try {
     const metrics::ScopedTimer timed("trace_test.throw");
     throw std::runtime_error("boom");
   } catch (const std::runtime_error&) {
   }
-  EXPECT_EQ(metrics::timer("trace_test.throw").count(), before + 1);
+  EXPECT_EQ(hist.count(), before + 1);
 }
 
 TEST(MetricsTest, RegistryHistogramsAppearWithPercentiles) {

@@ -417,40 +417,40 @@ TEST(Metrics, RegistryTimersAndSnapshot) {
   }
   EXPECT_TRUE(found_counter);
 
+  // A timed phase is a histogram of its scopes' microseconds.
   bool found_timer = false;
-  for (const auto& t : snap.timers) {
-    if (t.name == "test.phase") {
+  for (const auto& h : snap.histograms) {
+    if (h.name == "test.phase_us") {
       found_timer = true;
-      EXPECT_EQ(t.count, 2u);
-      EXPECT_GE(t.seconds, 0.0);
+      EXPECT_EQ(h.data.count, 2u);
     }
   }
   EXPECT_TRUE(found_timer);
 
   const std::string table = snap.to_table().to_string();
   EXPECT_NE(table.find("test.events"), std::string::npos);
-  EXPECT_NE(table.find("test.phase"), std::string::npos);
+  EXPECT_NE(table.find("test.phase_us"), std::string::npos);
 
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"test.events\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"test.phase\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.phase_us\": {\"count\": 2"),
+            std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"timers\""), std::string::npos);
+  EXPECT_EQ(json.find("\"timers\""), std::string::npos);
 
   metrics::reset();
   EXPECT_EQ(metrics::counter("test.events").value(), 0u);
 }
 
-// Each sample is kept in nanoseconds, so scopes far shorter than a
-// microsecond still add up instead of truncating to zero one by one.
+// A scope far shorter than a microsecond records a 0 µs sample: it is
+// still counted, never dropped.
 TEST(Metrics, SubMicrosecondScopesAccumulate) {
-  metrics::TimerStat& stat = metrics::timer("test.empty_scopes");
-  stat.reset();
+  metrics::Histogram& hist = metrics::histogram("test.empty_scopes_us");
+  hist.reset();
   for (int i = 0; i < 1000; ++i) {
-    const metrics::ScopedTimer timer("test.empty_scopes");
+    const metrics::ScopedTimer timer(hist, "test.empty_scopes");
   }
-  EXPECT_EQ(stat.count(), 1000u);
-  EXPECT_GT(stat.total_seconds(), 0.0);
+  EXPECT_EQ(hist.count(), 1000u);
 }
 
 TEST(Metrics, GaugeSetAddAndSnapshot) {

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     }
     return report.ok() ? kExitClean : kExitViolation;
   } catch (const sscor::Error& e) {
-    std::cerr << "sscor_fuzz: " << e.what() << "\n";
+    std::cerr << "sscor_fuzz: " << e.message() << "\n";
     return kExitUsage;
   }
 }

@@ -242,7 +242,7 @@ class Args {
     try {
       return static_cast<T>(parse_unsigned(*v, "--" + name, max));
     } catch (const InvalidArgument& e) {
-      throw UsageError(e.what());
+      throw UsageError(e.message());
     }
   }
 
@@ -289,7 +289,7 @@ class Args {
     try {
       return checked_seconds(number(name, fallback), "--" + name);
     } catch (const InvalidArgument& e) {
-      throw UsageError(e.what());
+      throw UsageError(e.message());
     }
   }
 
@@ -1168,7 +1168,7 @@ int usage() {
       "<generate|stats|embed|perturb|detect|sweep|merge-journals|watch|"
       "feed|chaos-proxy|top>"
       " [flags]\n"
-      "       (append --metrics to print run counters/timers on exit;\n"
+      "       (append --metrics to print the run metrics on exit;\n"
       "        --trace PATH writes decode introspection JSONL and\n"
       "        --trace-spans PATH writes Chrome trace JSON)\n"
       "see the header of tools/sscor_tool.cpp for full flag reference\n");
@@ -1254,8 +1254,13 @@ int main(int argc, char** argv) {
     }
     return rc;
   } catch (const UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.message());
     return usage();
+  } catch (const Error& e) {
+    // A failed library check names its C++ function in what(); the user
+    // is shown only what went wrong.
+    std::fprintf(stderr, "error: %s\n", e.message());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
