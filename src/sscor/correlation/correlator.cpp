@@ -14,7 +14,7 @@ namespace sscor {
 namespace {
 
 /// The per-run distributional metrics: where a detect's packet accesses
-/// actually land, plus the interruption tallies (heavy tails are invisible
+/// actually land, plus the interruption tally (heavy tails are invisible
 /// in process-wide totals).
 void record_run_metrics(const CorrelationResult& result) {
   static metrics::Histogram& pair_cost =
@@ -23,10 +23,7 @@ void record_run_metrics(const CorrelationResult& result) {
   if (result.interrupted) {
     static metrics::Counter& interrupted =
         metrics::counter("correlate.interrupted");
-    static metrics::Counter& cancelled =
-        metrics::counter("correlate.cancelled");
     interrupted.add();
-    if (result.stop_reason == StopReason::kCancelled) cancelled.add();
   }
 }
 
@@ -214,14 +211,13 @@ CorrelationResult Correlator::correlate(const WatermarkedFlow& watermarked,
   for (std::size_t depth = 0;; ++depth) {
     const bool last = depth + 1 == ladder.size();
     CorrelatorConfig attempt = config_;
-    // The last tier keeps only the token: the deadline and cost cap are
-    // lifted so the ladder always ends with a decision.
-    if (last) attempt.budget = DecodeBudget{.token = config_.budget.token};
+    // The last tier decodes with no budget, so the ladder always ends with
+    // a decision.
+    if (last) attempt.budget = DecodeBudget{};
     CorrelationResult result = decode_attempt(attempt, ladder[depth],
                                               watermarked, suspicious,
                                               *context, plan);
-    const bool cancelled = result.stop_reason == StopReason::kCancelled;
-    if (last || !result.interrupted || cancelled) {
+    if (last || !result.interrupted) {
       static metrics::Counter& degraded_runs =
           metrics::counter("resilient.degraded");
       static metrics::Histogram& fallback_depth =

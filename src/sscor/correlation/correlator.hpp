@@ -44,11 +44,10 @@ class Correlator {
   /// the tiers of fallback_ladder(algorithm()) decode in turn from the one
   /// context until one completes.  Every tier but the last decodes under
   /// the budget (the deadline is absolute, so the tiers share it;
-  /// `max_cost` caps each attempt); the last keeps only the token, so the
-  /// ladder always returns a decision.  A token cancel returns the
-  /// interrupted tier's result without falling back.  `degraded` is set
-  /// when a tier below `algorithm()` produced the result, and
-  /// `result.algorithm` names that tier.
+  /// `max_cost` caps each attempt); the last decodes with no budget, so the
+  /// ladder always returns a decision and the result is never interrupted.
+  /// `degraded` is set when a tier below `algorithm()` produced the result,
+  /// and `result.algorithm` names that tier.
   CorrelationResult correlate(const WatermarkedFlow& watermarked,
                               const Flow& suspicious,
                               const MatchContext* context = nullptr) const;

@@ -35,10 +35,10 @@ struct CorrelatorConfig {
   std::uint64_t cost_bound = 1'000'000;
   /// Optional quantized-packet-size matching constraint (paper §3.2).
   std::optional<SizeConstraint> size_constraint;
-  /// Resilience budget: deadline / cooperative cancel / operational cost
-  /// cap.  Defaults to disabled, in which case Correlator::correlate is one
-  /// decode, byte-identical to a budget-free build (the probes
-  /// short-circuit); set, it drives the degradation ladder.
+  /// Resilience budget: deadline / operational cost cap.  Defaults to
+  /// disabled, in which case Correlator::correlate is one decode,
+  /// byte-identical to a budget-free build (the probes short-circuit);
+  /// set, it drives the degradation ladder.
   DecodeBudget budget;
 };
 
@@ -61,9 +61,9 @@ struct CorrelationResult {
   /// True when the algorithm stopped at its cost bound (Greedy*/BruteForce)
   /// and returned its best-so-far watermark.
   bool cost_bound_hit = false;
-  /// True when the run was stopped cooperatively by its DecodeBudget
-  /// (deadline, cancellation, or resilience cost cap).  The remaining
-  /// fields still describe a self-consistent best-so-far decode.
+  /// True when the run was stopped cooperatively because its DecodeBudget
+  /// ran out (deadline or resilience cost cap).  The remaining fields still
+  /// describe a self-consistent best-so-far decode.
   bool interrupted = false;
   /// Why the run was interrupted (kNone when it ran to completion).
   StopReason stop_reason = StopReason::kNone;

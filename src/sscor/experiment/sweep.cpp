@@ -213,8 +213,7 @@ TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
 std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
                                          const SweepSpec& spec,
                                          const ShardSpec& shard,
-                                         const ProgressFn& progress,
-                                         const CancellationToken* cancel) {
+                                         const ProgressFn& progress) {
   namespace fs = std::filesystem;
   require(shard.count > 0, "shard count must be positive");
   require(shard.index < shard.count, "shard index out of range");
@@ -333,14 +332,7 @@ std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
           scan.rows[p] = std::move(row);
           scan.have[p] = 1;
         },
-        config.threads, cancel);
-    if (cancel != nullptr && cancel->stop_requested()) {
-      metrics::counter("sweep.cancelled").add();
-      throw Cancelled("shard " + std::to_string(shard.index) + "/" +
-                      std::to_string(shard.count) + " cancelled after " +
-                      std::to_string(journal.appended()) +
-                      " journaled record(s); resume it to finish");
-    }
+        config.threads);
   };
 
   // Pass 1: this shard's partition — owned points plus points it claimed

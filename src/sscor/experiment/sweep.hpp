@@ -19,7 +19,6 @@
 
 #include "sscor/experiment/checkpoint.hpp"
 #include "sscor/experiment/evaluation.hpp"
-#include "sscor/util/cancellation.hpp"
 #include "sscor/util/table.hpp"
 
 namespace sscor::experiment {
@@ -107,14 +106,15 @@ TextTable run_sweep(const ExperimentConfig& config, const SweepSpec& spec,
 /// kill/resume split.  Shard 0 of 1 owns every point, so it always returns
 /// the table.  Returns nullopt while other shards' points are still
 /// outstanding (merge later with scan_journal_dir + merge_cluster).
-/// `cancel` (not owned) is polled between points: when it trips, in-flight
-/// points finish and are journaled, unstarted points never run, and the
-/// worker throws Cancelled — a resume picks up exactly the missing points.
-/// Throws IoError when the directory belongs to another shard count
-/// (refused before anything is written) or to a different sweep.
-std::optional<TextTable> run_sweep_shard(
-    const ExperimentConfig& config, const SweepSpec& spec,
-    const ShardSpec& shard, const ProgressFn& progress = {},
-    const CancellationToken* cancel = nullptr);
+/// An exception from a point (or from `progress`) stops the worker as
+/// parallel_for does: in-flight points finish and are journaled, unstarted
+/// points never run, and the exception propagates — a resume picks up
+/// exactly the missing points.  Throws IoError when the directory belongs
+/// to another shard count (refused before anything is written) or to a
+/// different sweep.
+std::optional<TextTable> run_sweep_shard(const ExperimentConfig& config,
+                                         const SweepSpec& spec,
+                                         const ShardSpec& shard,
+                                         const ProgressFn& progress = {});
 
 }  // namespace sscor::experiment

@@ -689,12 +689,11 @@ class ResilientParityOracle final : public Oracle {
                        to_string(preferred) + ", achieved " +
                        to_string(ladder.algorithm));
     }
-    // Only the final tier (or an explicit cancel, which this oracle never
-    // issues) may return interrupted.
-    if (ladder.interrupted && ladder.algorithm != Algorithm::kGreedy) {
-      return violation("ladder returned an interrupted non-final tier " +
-                       to_string(ladder.algorithm) +
-                       " instead of falling back");
+    // The final tier decodes with no budget, and every other tier falls
+    // back when interrupted: no ladder result is interrupted.
+    if (ladder.interrupted) {
+      return violation("ladder returned an interrupted " +
+                       to_string(ladder.algorithm) + " result");
     }
 
     // Replay the achieved tier as one attempt under the budget it received
@@ -726,7 +725,7 @@ class ResilientParityOracle final : public Oracle {
 
 /// chaos_decode: deterministic fault injection into a single decode
 /// attempt (BatchDecoder::decode_one, where the budget probe lives) —
-/// a self-cancelling token (trip_after_probes), an already-expired
+/// a per-attempt cost cap (DecodeBudget::max_cost), an already-expired
 /// deadline, and/or an allocation budget that makes some heap request
 /// throw bad_alloc mid-decode.  The contract under every injection mix:
 /// a clean error or a correct result, never corruption.  Concretely:
@@ -741,9 +740,12 @@ class ChaosDecodeOracle final : public Oracle {
   std::string_view name() const override { return "chaos_decode"; }
 
   std::vector<std::uint8_t> generate(Rng& rng) override {
-    const std::int64_t trip =
+    // These pipelines' decodes cost a few hundred accesses, so caps up to
+    // 500 interrupt about half the attempts they arm and leave the rest
+    // to check that an unfired cap changes nothing.
+    const std::int64_t max_cost =
         rng.bernoulli(0.6)
-            ? 1 + static_cast<std::int64_t>(rng.uniform_u64(20'000))
+            ? 1 + static_cast<std::int64_t>(rng.uniform_u64(500))
             : 0;
     const std::int64_t alloc_kb =
         rng.bernoulli(0.35)
@@ -752,7 +754,7 @@ class ChaosDecodeOracle final : public Oracle {
     return generate_pipeline_case(
         rng, /*max_bits=*/4,
         {{"algo", static_cast<std::int64_t>(rng.uniform_u64(4))},
-         {"trip_probes", trip},
+         {"max_cost", max_cost},
          {"alloc_kb", alloc_kb},
          {"expired_deadline", rng.bernoulli(0.25) ? 1 : 0}});
   }
@@ -764,13 +766,13 @@ class ChaosDecodeOracle final : public Oracle {
     if (!pipe) return skip_case();
     const Algorithm algo =
         kResilienceTiers[get_clamped(*parsed, "algo", 0, 0, 3)];
-    const std::int64_t trip =
-        get_clamped(*parsed, "trip_probes", 0, 0, 1'000'000);
+    const auto max_cost = static_cast<std::uint64_t>(
+        get_clamped(*parsed, "max_cost", 0, 0, 1'000'000));
     const auto alloc_budget = static_cast<std::size_t>(
         get_clamped(*parsed, "alloc_kb", 0, 0, 1 << 20)) << 10;
     const bool expired =
         get_clamped(*parsed, "expired_deadline", 0, 0, 1) != 0;
-    if (trip == 0 && alloc_budget == 0 && !expired) return skip_case();
+    if (max_cost == 0 && alloc_budget == 0 && !expired) return skip_case();
 
     const Flow& down = pipe->downstream;
     const MatchContext context =
@@ -791,10 +793,8 @@ class ChaosDecodeOracle final : public Oracle {
     };
     const auto run_chaos = [&]() {
       ChaosOutcome out;
-      CancellationToken token;
-      if (trip > 0) token.trip_after_probes(trip);
       CorrelatorConfig chaos_config = pipe->config;
-      chaos_config.budget.token = &token;
+      chaos_config.budget.max_cost = max_cost;
       if (expired) {
         // A deadline pinned at the steady-clock epoch: expired before the
         // decode starts, yet fully deterministic (no live clock race).
@@ -843,13 +843,13 @@ class ChaosDecodeOracle final : public Oracle {
         }
       } else {
         const bool reason_injected =
-            (r.stop_reason == StopReason::kCancelled && trip > 0) ||
+            (r.stop_reason == StopReason::kCostBudget && max_cost > 0) ||
             (r.stop_reason == StopReason::kDeadline && expired);
         if (!reason_injected) {
           return violation("interrupted decode reports stop reason '" +
                            to_string(r.stop_reason) +
-                           "' which no injection armed (trip " +
-                           std::to_string(trip) + ", expired deadline " +
+                           "' which no injection armed (max cost " +
+                           std::to_string(max_cost) + ", expired deadline " +
                            std::to_string(expired) + ")");
         }
         if (r.correlated &&
@@ -862,8 +862,8 @@ class ChaosDecodeOracle final : public Oracle {
       }
     }
 
-    // Injection points are probe/allocation counts, not clock reads: the
-    // chaos run must replay bit-for-bit.
+    // Injection points are costs and allocation counts, not clock reads:
+    // the chaos run must replay bit-for-bit.
     const ChaosOutcome second = run_chaos();
     if (second.returned != first.returned ||
         second.bad_alloc != first.bad_alloc) {
@@ -903,9 +903,10 @@ class ChaosDecodeOracle final : public Oracle {
 };
 
 /// chaos_sweep: mid-sweep abort and journal-tamper injection for a
-/// journaled sweep (shard 0 of 1).  A cancelled sweep followed by a resume
-/// (over an optionally tampered journal) must reproduce the uncancelled
-/// table byte-for-byte — crash-safety's observable contract.
+/// journaled sweep (shard 0 of 1).  A sweep aborted by an exception from
+/// its progress callback, followed by a resume (over an optionally tampered
+/// journal), must reproduce the uninterrupted table byte-for-byte —
+/// crash-safety's observable contract.
 class ChaosSweepOracle final : public Oracle {
  public:
   std::string_view name() const override { return "chaos_sweep"; }
@@ -914,7 +915,7 @@ class ChaosSweepOracle final : public Oracle {
     return serialize_case(
         {{"seed", static_cast<std::int64_t>(rng())},
          {"bits", 2 + static_cast<std::int64_t>(rng.uniform_u64(4))},
-         {"cancel_after", static_cast<std::int64_t>(rng.uniform_u64(4))},
+         {"abort_after", static_cast<std::int64_t>(rng.uniform_u64(4))},
          {"corrupt", rng.bernoulli(0.3) ? 1 : 0},
          {"torn_tail", rng.bernoulli(0.3) ? 1 : 0}},
         Flow());
@@ -926,8 +927,8 @@ class ChaosSweepOracle final : public Oracle {
     if (!parsed) return skip_case();
     const auto bits = static_cast<std::uint32_t>(
         get_clamped(*parsed, "bits", 3, 2, 6));
-    const auto cancel_after = static_cast<std::size_t>(
-        get_clamped(*parsed, "cancel_after", 0, 0, 5));
+    const auto abort_after = static_cast<std::size_t>(
+        get_clamped(*parsed, "abort_after", 0, 0, 5));
     const bool corrupt = get_clamped(*parsed, "corrupt", 0, 0, 1) != 0;
     const bool torn_tail = get_clamped(*parsed, "torn_tail", 0, 0, 1) != 0;
 
@@ -963,33 +964,35 @@ class ChaosSweepOracle final : public Oracle {
     experiment::ShardSpec shard;
     shard.journal_dir = dir.string();
 
-    CancellationToken token;
+    // The progress callback runs before its point computes, so throwing
+    // from the (abort_after + 1)-th call leaves exactly abort_after points
+    // journaled.
+    struct InjectedAbort {};
     std::size_t started = 0;
-    bool cancelled = false;
+    bool aborted = false;
     try {
       const auto interrupted = run_sweep_shard(
           config, spec, shard,
           [&](std::size_t, std::size_t, const std::string&) {
-            if (++started > cancel_after) token.cancel();
-          },
-          &token);
-      // The cancel landed after the last point started: the sweep ran to
+            if (++started > abort_after) throw InjectedAbort{};
+          });
+      // The abort point lies past the last point: the sweep ran to
       // completion and must match the clean table.
       if (!interrupted || interrupted->to_string() != clean) {
         fs::remove_all(dir, ec);
-        return violation("journaled sweep that outran its cancel "
+        return violation("journaled sweep that outran its abort "
                          "produced a different table");
       }
-    } catch (const Cancelled&) {
-      cancelled = true;
+    } catch (const InjectedAbort&) {
+      aborted = true;
     } catch (const std::exception& e) {
       fs::remove_all(dir, ec);
-      return violation(std::string("cancelled sweep threw ") + e.what() +
-                       " instead of Cancelled");
+      return violation(std::string("aborted sweep threw ") + e.what() +
+                       " instead of the injected exception");
     }
-    if (cancelled && !fs::exists(path)) {
+    if (aborted && !fs::exists(path)) {
       fs::remove_all(dir, ec);
-      return violation("cancelled sweep left no journal behind");
+      return violation("aborted sweep left no journal behind");
     }
 
     if (corrupt) {
@@ -1015,7 +1018,7 @@ class ChaosSweepOracle final : public Oracle {
     fs::remove_all(dir, ec);
     if (resumed != clean) {
       return violation("resumed sweep table diverges from the clean run "
-                       "(cancel after " + std::to_string(cancel_after) +
+                       "(abort after " + std::to_string(abort_after) +
                        " points" + (corrupt ? ", corrupt line" : "") +
                        (torn_tail ? ", torn tail" : "") + ")");
     }

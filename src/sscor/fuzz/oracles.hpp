@@ -33,14 +33,14 @@
 //                    BatchDecoder attempt of that tier under the budget it
 //                    received (none for the last tier); with no budget the
 //                    ladder is the one plain decode exactly.
-//   chaos_decode     deterministic fault injection (self-cancelling token,
-//                    pre-expired deadline, allocation failure) into one
-//                    BatchDecoder attempt: clean error or correct result,
-//                    never corruption, and bit-for-bit replayable.
+//   chaos_decode     deterministic fault injection (cost cap, pre-expired
+//                    deadline, allocation failure) into one BatchDecoder
+//                    attempt: clean error or correct result, never
+//                    corruption, and bit-for-bit replayable.
 //   chaos_sweep      mid-sweep abort + journal tampering on a one-shard
-//                    journaled sweep: cancel, then resume over the
-//                    (possibly tampered) journal must reproduce the
-//                    uncancelled table byte-for-byte.
+//                    journaled sweep: abort by exception, then resume over
+//                    the (possibly tampered) journal must reproduce the
+//                    uninterrupted table byte-for-byte.
 //   journal_merge    differential check of the cluster journal directory:
 //                    rows scattered across N tampered shard journals
 //                    (duplicates, claims, torn tails, corrupt lines) must

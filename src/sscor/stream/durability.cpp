@@ -63,7 +63,7 @@ StreamVerdict decode_verdict_value(const json::Value& v) {
   verdict.result.cost_bound_hit = r.at("cost_bound_hit").as_bool();
   verdict.result.interrupted = r.at("interrupted").as_bool();
   const auto stop = r.at("stop_reason").as_uint();
-  require(stop <= 3, "verdict stop_reason out of range");
+  require(stop <= 2, "verdict stop_reason out of range");
   verdict.result.stop_reason = static_cast<StopReason>(stop);
   verdict.result.degraded = r.at("degraded").as_bool();
   return verdict;

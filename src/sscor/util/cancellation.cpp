@@ -6,8 +6,6 @@ std::string to_string(StopReason reason) {
   switch (reason) {
     case StopReason::kNone:
       return "none";
-    case StopReason::kCancelled:
-      return "cancelled";
     case StopReason::kDeadline:
       return "deadline";
     case StopReason::kCostBudget:
@@ -16,21 +14,23 @@ std::string to_string(StopReason reason) {
   return "unknown";
 }
 
+Deadline Deadline::after(DurationUs us) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  // Compare in microseconds before adding: now + microseconds(us) is
+  // computed in the clock's nanoseconds and would overflow.
+  const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+      Clock::time_point::max() - now);
+  Deadline d;
+  d.armed_ = true;
+  d.when_ = us >= headroom.count()
+                ? Clock::time_point::max()
+                : now + std::chrono::microseconds(us < 0 ? 0 : us);
+  return d;
+}
+
 bool CancelProbe::slow_check(std::uint64_t current_cost) {
   ++calls_;
-  if (token_ != nullptr) {
-    // Chaos countdown: deterministic self-cancel after N probes.  Unarmed
-    // (the overwhelmingly common case) costs one relaxed load.
-    if (token_->probe_countdown_.load(std::memory_order_relaxed) >= 0 &&
-        token_->probe_countdown_.fetch_sub(1, std::memory_order_relaxed) ==
-            0) {
-      token_->cancel(StopReason::kCancelled);
-    }
-    if (token_->stop_requested()) {
-      reason_ = token_->reason();
-      return true;
-    }
-  }
   if (max_cost_ != 0 && current_cost >= max_cost_) {
     reason_ = StopReason::kCostBudget;
     return true;

@@ -1,20 +1,17 @@
-// Cooperative cancellation for long-running decodes.
+// Budgeted stopping for long-running decodes.
 //
 // The matching-complete decoders (BruteForce, and Greedy*/Greedy+ at high
 // chaff rates and large Delta) have combinatorial worst cases (paper §3.3,
 // figs 7-10).  A production traceback service must be able to bound any
-// single decode — by wall clock, by packet-access budget, or by an explicit
-// cancel from the caller — and have it stop *cooperatively*: the algorithm
-// returns its best-so-far result with `interrupted` set, never a torn
-// state, never an exception.
+// single decode — by wall clock or by packet-access budget — and have it
+// stop *cooperatively*: the algorithm returns its best-so-far result with
+// `interrupted` set, never a torn state, never an exception.
 //
-// Three pieces:
+// Two pieces:
 //
-//  * CancellationToken — shared stop flag.  Checking is one relaxed atomic
-//    load (the same discipline as the trace probe); cancelling is rare.
 //  * Deadline — a steady_clock point in time.  Because reading the clock
-//    costs far more than a relaxed load, CancelProbe only consults it every
-//    kDeadlineStride probes.
+//    is not free, CancelProbe only consults it every kDeadlineStride
+//    probes.
 //  * CancelProbe — the per-run poll object the correlators' inner loops
 //    call.  With no budget configured it is a single predictable branch on
 //    a cached bool, so budget-unconstrained runs stay byte-identical (and
@@ -28,7 +25,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -40,58 +36,11 @@ namespace sscor {
 /// Why a decode stopped early (recorded on CorrelationResult).
 enum class StopReason : std::uint8_t {
   kNone = 0,       ///< ran to completion
-  kCancelled,      ///< CancellationToken::cancel()
   kDeadline,       ///< Deadline expired
   kCostBudget,     ///< resilience cost budget (DecodeBudget::max_cost) spent
 };
 
 std::string to_string(StopReason reason);
-
-/// Shared cooperative stop flag.  Thread-safe: any thread may cancel; any
-/// number of probes may poll concurrently.
-class CancellationToken {
- public:
-  CancellationToken() = default;
-  CancellationToken(const CancellationToken&) = delete;
-  CancellationToken& operator=(const CancellationToken&) = delete;
-
-  /// Requests a stop.  The first reason wins; later calls are no-ops.
-  void cancel(StopReason reason = StopReason::kCancelled) {
-    std::uint8_t expected = 0;
-    state_.compare_exchange_strong(expected,
-                                   static_cast<std::uint8_t>(reason),
-                                   std::memory_order_relaxed);
-  }
-
-  /// One relaxed load — safe on the hottest path.
-  bool stop_requested() const {
-    return state_.load(std::memory_order_relaxed) != 0;
-  }
-
-  StopReason reason() const {
-    return static_cast<StopReason>(state_.load(std::memory_order_relaxed));
-  }
-
-  /// Re-arms a used token (between ladder attempts or test cases).  Only
-  /// call when no probe is concurrently polling.
-  void reset() {
-    state_.store(0, std::memory_order_relaxed);
-    probe_countdown_.store(-1, std::memory_order_relaxed);
-  }
-
-  /// Chaos/test hook: the token self-cancels on the (n+1)-th probe after
-  /// arming (n probes pass).  Deterministic for single-threaded decodes,
-  /// which is exactly how the chaos harness injects "deadline expiry" at a
-  /// reproducible point without touching the clock.
-  void trip_after_probes(std::int64_t n) {
-    probe_countdown_.store(n, std::memory_order_relaxed);
-  }
-
- private:
-  friend class CancelProbe;
-  std::atomic<std::uint8_t> state_{0};
-  std::atomic<std::int64_t> probe_countdown_{-1};  ///< < 0 = unarmed
-};
 
 /// A point on the steady clock before which work must finish.  Default
 /// constructed = unarmed (never expires).
@@ -99,14 +48,10 @@ class Deadline {
  public:
   Deadline() = default;
 
-  /// A deadline `us` microseconds from now (clamped to non-negative).
-  static Deadline after(DurationUs us) {
-    Deadline d;
-    d.armed_ = true;
-    d.when_ = std::chrono::steady_clock::now() +
-              std::chrono::microseconds(us < 0 ? 0 : us);
-    return d;
-  }
+  /// A deadline `us` microseconds from now (clamped to non-negative).  It
+  /// saturates: a deadline beyond the clock's range is armed and never
+  /// expires.
+  static Deadline after(DurationUs us);
 
   static Deadline at(std::chrono::steady_clock::time_point when) {
     Deadline d;
@@ -132,8 +77,6 @@ class Deadline {
 /// fields default to "disabled"; a default DecodeBudget makes every probe a
 /// single branch and the decode byte-identical to the pre-resilience code.
 struct DecodeBudget {
-  /// Cooperative cancel shared with the caller (not owned).
-  CancellationToken* token = nullptr;
   /// Wall-clock bound, absolute: every ladder tier of one
   /// Correlator::correlate call shares it.
   Deadline deadline{};
@@ -142,9 +85,7 @@ struct DecodeBudget {
   /// cost_bound (see header).
   std::uint64_t max_cost = 0;
 
-  bool enabled() const {
-    return token != nullptr || deadline.armed() || max_cost != 0;
-  }
+  bool enabled() const { return deadline.armed() || max_cost != 0; }
 };
 
 /// The poll object a correlator's inner loops call.  One probe per run,
@@ -156,8 +97,7 @@ class CancelProbe {
   CancelProbe() = default;
 
   explicit CancelProbe(const DecodeBudget& budget)
-      : token_(budget.token),
-        deadline_(budget.deadline),
+      : deadline_(budget.deadline),
         max_cost_(budget.max_cost),
         armed_(budget.enabled()) {}
 
@@ -181,7 +121,6 @@ class CancelProbe {
   /// overshoot to a few microseconds of work.
   static constexpr std::uint64_t kDeadlineStride = 256;
 
-  CancellationToken* token_ = nullptr;
   Deadline deadline_{};
   std::uint64_t max_cost_ = 0;
   bool armed_ = false;

@@ -49,15 +49,6 @@ class InternalError : public Error {
   using Error::Error;
 };
 
-/// A cooperative cancellation stopped a long-running operation before it
-/// completed.  Not an error in the library: the caller (or its deadline)
-/// asked for the stop; partial results already persisted — e.g. sweep
-/// checkpoints — remain valid and resumable.
-class Cancelled : public Error {
- public:
-  using Error::Error;
-};
-
 namespace detail {
 
 /// Cold halves of require()/check_invariant(): build the message and throw.

@@ -194,8 +194,8 @@ void Journal::append(const std::string& data) {
   check_invariant(file_ != nullptr, "append on a moved-from journal");
   static metrics::Histogram& append_us =
       metrics::histogram("journal.append_us");
-  static metrics::Counter& fsyncs = metrics::counter("checkpoint.fsyncs");
-  static metrics::Counter& records = metrics::counter("checkpoint.records");
+  static metrics::Counter& fsyncs = metrics::counter("journal.fsyncs");
+  static metrics::Counter& records = metrics::counter("journal.records");
   const metrics::ScopedTimer timer(append_us, "journal.append");
   std::string line;
   line.reserve(data.size() + 32);

@@ -6,17 +6,14 @@ namespace sscor {
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& fn,
-                  unsigned threads, const CancellationToken* cancel) {
+                  unsigned threads) {
   if (count == 0) return;
   if (threads == 1) {
     // Guaranteed inline: no pool is touched, no thread is spawned.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->stop_requested()) return;
-      fn(i);
-    }
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool::shared().for_each(count, fn, threads, cancel);
+  ThreadPool::shared().for_each(count, fn, threads);
 }
 
 }  // namespace sscor

@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <functional>
 
-#include "sscor/util/cancellation.hpp"
-
 namespace sscor {
 
 /// Runs `fn(i)` for every i in [0, count).  `threads` = 0 picks the
@@ -24,14 +22,8 @@ namespace sscor {
 /// `fn` propagate to the caller: the first one captured wins, sibling
 /// workers stop claiming work promptly, and items that were never claimed
 /// are never run.
-///
-/// A non-null `cancel` token stops the loop cooperatively: once it trips,
-/// no further items are claimed (in-flight items finish) and parallel_for
-/// returns normally.  The caller inspects the token to distinguish a cut-
-/// short loop from a completed one.
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& fn,
-                  unsigned threads = 0,
-                  const CancellationToken* cancel = nullptr);
+                  unsigned threads = 0);
 
 }  // namespace sscor

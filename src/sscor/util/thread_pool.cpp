@@ -43,12 +43,6 @@ bool ThreadPool::in_worker() { return t_in_pool_item; }
 
 void ThreadPool::run_chunks() {
   while (true) {
-    if (cancel_ != nullptr && cancel_->stop_requested()) {
-      // Stop claiming; siblings see the same token and do likewise.  The
-      // cursor is not pushed forward so a concurrent error still wins the
-      // error slot cleanly.
-      return;
-    }
     const std::size_t begin =
         cursor_.fetch_add(chunk_, std::memory_order_relaxed);
     if (begin >= count_) return;
@@ -92,8 +86,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::for_each(std::size_t count,
                           const std::function<void(std::size_t)>& fn,
-                          unsigned max_threads,
-                          const CancellationToken* cancel) {
+                          unsigned max_threads) {
   if (count == 0) return;
   const unsigned pool_workers = workers();
   // Participants = this thread + up to (max_threads - 1) workers.
@@ -105,10 +98,7 @@ void ThreadPool::for_each(std::size_t count,
   if (participants <= 1 || t_in_pool_item) {
     // Serial fast path; also the nested case — a loop issued from inside a
     // worker runs inline so the pool can never deadlock on itself.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->stop_requested()) return;
-      fn(i);
-    }
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
@@ -123,7 +113,6 @@ void ThreadPool::for_each(std::size_t count,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    cancel_ = cancel;
     count_ = count;
     // ~8 chunks per participant amortises the cursor and the std::function
     // call while keeping first-error abort and load balance responsive.

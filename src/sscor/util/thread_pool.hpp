@@ -22,13 +22,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "sscor/util/cancellation.hpp"
 
 namespace sscor {
 
@@ -52,13 +51,8 @@ class ThreadPool {
   /// The caller participates and blocks until every claimed item finished.
   /// Concurrent top-level submissions are serialised; nested calls from a
   /// worker run inline.  The first exception thrown by an item propagates.
-  /// A non-null `cancel` token makes participants stop claiming chunks once
-  /// it trips (the same mechanism as first-error abort): in-flight items
-  /// finish, unclaimed items never run, and for_each returns normally — the
-  /// caller inspects the token to learn the loop was cut short.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn,
-                unsigned max_threads = 0,
-                const CancellationToken* cancel = nullptr);
+                unsigned max_threads = 0);
 
   /// The process-wide pool used by parallel_for; created lazily on first
   /// use with the default worker count.
@@ -84,7 +78,6 @@ class ThreadPool {
 
   // Current job (valid while running_ > 0 or cursor_ < count_).
   const std::function<void(std::size_t)>* fn_ = nullptr;
-  const CancellationToken* cancel_ = nullptr;
   std::size_t count_ = 0;
   std::size_t chunk_ = 1;
   unsigned slots_ = 0;    // worker participation slots left for this job

@@ -44,6 +44,7 @@
 #include "sscor/util/error.hpp"
 #include "sscor/util/journal.hpp"
 #include "sscor/util/json_parse.hpp"
+#include "sscor/util/metrics.hpp"
 #include "sscor/util/time.hpp"
 
 namespace sscor::stream {
@@ -701,7 +702,10 @@ TEST(Durability, WalTornTailIsRepairedAndReplayDeduplicates) {
   // Catch-up dedup: an already-committed verdict is suppressed, a new one
   // is accepted.
   EXPECT_FALSE(session.commit(verdicts[1]));
+  const std::uint64_t records = metrics::counter("journal.records").value();
   EXPECT_TRUE(session.commit(fabricate_verdict(3, 4, 1, VerdictKind::kNegative)));
+  // A WAL verdict is a journal record, counted under the journal's name.
+  EXPECT_EQ(metrics::counter("journal.records").value(), records + 1);
   std::filesystem::remove_all(state_dir);
 }
 

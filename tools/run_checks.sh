@@ -17,8 +17,11 @@
 #      AlgorithmPropertyTest.*, BruteForce.*), the online early-exit tests
 #      (OnlineCorrelator.*), the decode parity suite (BatchKernel*,
 #      MatchContextParity.* and MatchContextReuse.*: production decodes
-#      over a shared context vs the cold scalar reference), and the golden
-#      cost figures, detection tables and verdict records;
+#      over a shared context vs the cold scalar reference), the budgeted
+#      stopping tests (Deadline.*, CancelProbe.*, InterruptedDecode.*,
+#      ResilientLadder.*: a far-off deadline must saturate, not overflow
+#      the clock), and the golden cost figures, detection tables and
+#      verdict records;
 #   4. trace smoke: drive sscor_tool generate -> embed -> perturb -> detect
 #      with --trace/--trace-spans and validate both outputs with
 #      trace_check (strict JSON / JSONL parsing), then run the degradation
@@ -32,9 +35,9 @@
 #   6. chaos harness: 1500 deterministic seeded cases through the
 #      resilience oracles under ASan/UBSan — resilient_parity (the
 #      degradation ladder in Correlator::correlate under random
-#      per-attempt cost budgets), chaos_decode (self-cancelling tokens,
-#      pre-expired deadlines and allocation failures injected into one
-#      BatchDecoder attempt) and chaos_sweep (mid-sweep aborts and
+#      per-attempt cost budgets), chaos_decode (cost caps, pre-expired
+#      deadlines and allocation failures injected into one BatchDecoder
+#      attempt) and chaos_sweep (mid-sweep aborts by exception and
 #      journal tampering on a one-shard journaled sweep) — plus a CLI
 #      kill -9 + --resume round trip on a --journal-dir sweep whose
 #      resumed table and merge-journals output must both cmp equal to the
@@ -122,9 +125,9 @@ step_3() {  # ASan/UBSan build + matching/parity/golden tests
   cmake --build "$asan_dir" -j "$jobs" \
     --target match_context_test parallel_determinism_test hot_path_test \
              matching_test experiment_test batch_kernel_test stream_test \
-             correlation_test
+             correlation_test resilience_test
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost|BatchKernel|GoldenVerdicts|GoldenDetection|DecodePlan|SelectionState|AlgorithmPropertyTest|BruteForce|OnlineCorrelator'
+    -R 'MatchContext|Parallel|HotPath|MatchWindow|CandidateSets|GoldenCost|BatchKernel|GoldenVerdicts|GoldenDetection|DecodePlan|SelectionState|AlgorithmPropertyTest|BruteForce|OnlineCorrelator|Deadline|CancelProbe|InterruptedDecode|ResilientLadder'
 }
 
 step_4() {  # trace smoke: end-to-end pipeline with --trace/--trace-spans
@@ -172,11 +175,11 @@ step_6() {  # chaos harness: seeded fault injection under ASan/UBSan
   # 1500 round-robin iterations over the three resilience oracles:
   # resilient_parity checks the tier Correlator's ladder lands on, under a
   # random per-attempt cost budget, against one BatchDecoder attempt of
-  # that tier; chaos_decode injects a probe-counted cancel, a pre-expired
-  # deadline and/or an allocation budget into one BatchDecoder attempt;
-  # chaos_sweep aborts a one-shard journaled sweep and tampers with its
-  # journal.  Each asserts clean-error-or-correct-result.  Same seed =>
-  # same cases on any machine.
+  # that tier; chaos_decode injects a cost cap, a pre-expired deadline
+  # and/or an allocation budget into one BatchDecoder attempt; chaos_sweep
+  # aborts a one-shard journaled sweep by throwing from its progress
+  # callback and tampers with its journal.  Each asserts
+  # clean-error-or-correct-result.  Same seed => same cases on any machine.
   "$asan_dir/tools/sscor_fuzz" \
     --oracle resilient_parity --oracle chaos_decode --oracle chaos_sweep \
     --iterations 1500 --seed 1 --artifacts "$asan_dir/chaos-artifacts"

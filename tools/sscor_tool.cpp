@@ -470,12 +470,8 @@ int cmd_detect(const Args& args) {
                  : Correlator(budgeted, algorithm).correlate(handle, down.flow);
       metrics::counter("tool.detections_run").add(1);
       metrics::counter("tool.packets_accessed").add(r.cost);
-      std::string annotation;
-      if (r.degraded) {
-        annotation = ", degraded to " + to_string(r.algorithm);
-      } else if (r.interrupted) {
-        annotation = ", interrupted: " + to_string(r.stop_reason);
-      }
+      const std::string annotation =
+          r.degraded ? ", degraded to " + to_string(r.algorithm) : "";
       std::printf("%-42s -> %-42s : %s (hamming %s, cost %llu%s)\n",
                   up.tuple.to_string().c_str(),
                   down.tuple.to_string().c_str(),
