@@ -9,10 +9,14 @@ namespace sscor {
 
 Flow::Flow(std::vector<PacketRecord> packets, std::string id)
     : packets_(std::move(packets)), id_(std::move(id)) {
-  std::stable_sort(packets_.begin(), packets_.end(),
-                   [](const PacketRecord& a, const PacketRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  const auto earlier = [](const PacketRecord& a, const PacketRecord& b) {
+    return a.timestamp < b.timestamp;
+  };
+  // Most inputs arrive in order; a stable sort of sorted input is the
+  // identity, so the check alone decides the result.
+  if (!std::is_sorted(packets_.begin(), packets_.end(), earlier)) {
+    std::stable_sort(packets_.begin(), packets_.end(), earlier);
+  }
   rebuild_timestamp_cache();
 }
 

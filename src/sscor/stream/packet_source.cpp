@@ -24,10 +24,14 @@ CaptureReplaySource::CaptureReplaySource(const std::string& path,
       packets_.push_back(*classified);
     }
   }
-  std::stable_sort(packets_.begin(), packets_.end(),
-                   [](const StreamPacket& a, const StreamPacket& b) {
-                     return a.packet.timestamp < b.packet.timestamp;
-                   });
+  const auto earlier = [](const StreamPacket& a, const StreamPacket& b) {
+    return a.packet.timestamp < b.packet.timestamp;
+  };
+  // Captures are nearly always recorded in time order; sorting sorted
+  // input stably changes nothing, so skip it.
+  if (!std::is_sorted(packets_.begin(), packets_.end(), earlier)) {
+    std::stable_sort(packets_.begin(), packets_.end(), earlier);
+  }
   if (!packets_.empty()) first_timestamp_ = packets_.front().packet.timestamp;
 }
 

@@ -13,16 +13,38 @@
 namespace sscor::journal {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table,
+/// and kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+/// eight table lookups advance the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load assembled from bytes, so the CRC is the same on any
+/// host byte order (compilers fold it into one load on little-endian).
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 constexpr std::string_view kCrcPrefix = "{\"crc32\":\"";
@@ -59,10 +81,19 @@ bool parse_line(std::string_view line, std::string& data) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -174,7 +205,8 @@ Journal Journal::append_to(const std::string& path, bool fsync) {
 Journal::Journal(Journal&& other) noexcept
     : file_(std::exchange(other.file_, nullptr)),
       fsync_(other.fsync_),
-      appended_(other.appended_) {}
+      appended_(other.appended_),
+      bytes_(other.bytes_) {}
 
 Journal& Journal::operator=(Journal&& other) noexcept {
   if (this != &other) {
@@ -182,6 +214,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     file_ = std::exchange(other.file_, nullptr);
     fsync_ = other.fsync_;
     appended_ = other.appended_;
+    bytes_ = other.bytes_;
   }
   return *this;
 }
@@ -190,17 +223,17 @@ Journal::~Journal() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void Journal::append(const std::string& data) {
+std::uint32_t Journal::append(const std::string& data) {
   check_invariant(file_ != nullptr, "append on a moved-from journal");
   static metrics::Histogram& append_us =
       metrics::histogram("journal.append_us");
-  static metrics::Counter& fsyncs = metrics::counter("journal.fsyncs");
   static metrics::Counter& records = metrics::counter("journal.records");
   const metrics::ScopedTimer timer(append_us, "journal.append");
+  const std::uint32_t crc = crc32(data);
   std::string line;
   line.reserve(data.size() + 32);
   line.append(kCrcPrefix);
-  line.append(hex32(crc32(data)));
+  line.append(hex32(crc));
   line.append(kDataPrefix);
   line.append(data);
   line.append("}\n");
@@ -208,15 +241,21 @@ void Journal::append(const std::string& data) {
       std::fflush(file_) != 0) {
     throw IoError("journal append failed (disk full?)");
   }
-  if (fsync_) {
-    const int fd = ::fileno(file_);
-    if (fd < 0 || ::fsync(fd) != 0) {
-      throw IoError("journal fsync failed");
-    }
-    fsyncs.add();
-  }
+  if (fsync_) sync();
   ++appended_;
+  bytes_ += line.size();
   records.add();
+  return crc;
+}
+
+void Journal::sync() {
+  check_invariant(file_ != nullptr, "sync on a moved-from journal");
+  static metrics::Counter& fsyncs = metrics::counter("journal.fsyncs");
+  const int fd = ::fileno(file_);
+  if (std::fflush(file_) != 0 || fd < 0 || ::fsync(fd) != 0) {
+    throw IoError("journal fsync failed");
+  }
+  fsyncs.add();
 }
 
 LoadedJournal load_journal(const std::string& path) {

@@ -74,11 +74,18 @@ class Journal {
   /// Appends one checksummed record line and flushes it to the OS page
   /// cache, so the record survives process death.  It does NOT survive a
   /// power cut or kernel panic unless the journal was opened with
-  /// fsync=true (see the durability contract above).
-  void append(const std::string& data);
+  /// fsync=true (see the durability contract above).  Returns the
+  /// record's CRC-32.
+  std::uint32_t append(const std::string& data);
+
+  /// fsync(2)s everything appended so far, for a writer opened without
+  /// per-record fsync that needs one sync at its end.
+  void sync();
 
   /// Body records appended through this writer (excludes the header).
   std::uint64_t appended() const { return appended_; }
+  /// File bytes written through this writer, header line included.
+  std::uint64_t bytes() const { return bytes_; }
 
  private:
   explicit Journal(std::FILE* file, bool fsync)
@@ -87,6 +94,7 @@ class Journal {
   std::FILE* file_ = nullptr;
   bool fsync_ = false;
   std::uint64_t appended_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 /// A parsed journal: the header record's data plus every body record whose

@@ -35,6 +35,18 @@ TEST(Flow, StableSortKeepsEqualTimestampOrder) {
   Flow flow({PacketRecord{10, 1, false}, PacketRecord{10, 2, false}});
   EXPECT_EQ(flow.packet(0).size, 1u);
   EXPECT_EQ(flow.packet(1).size, 2u);
+
+  // Unsorted input with ties: the sort runs and keeps each tie in input
+  // order.
+  Flow unsorted({PacketRecord{30, 1, false}, PacketRecord{10, 2, false},
+                 PacketRecord{30, 3, false}, PacketRecord{10, 4, false},
+                 PacketRecord{20, 5, false}});
+  std::vector<std::uint32_t> sizes;
+  for (std::size_t i = 0; i < unsorted.size(); ++i) {
+    sizes.push_back(unsorted.packet(i).size);
+  }
+  EXPECT_EQ(sizes, (std::vector<std::uint32_t>{2, 4, 5, 1, 3}));
+  EXPECT_EQ(unsorted.timestamps(), (std::vector<TimeUs>{10, 10, 20, 30, 30}));
 }
 
 TEST(Flow, BasicAccessors) {

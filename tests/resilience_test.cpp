@@ -16,8 +16,10 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sscor/correlation/correlator.hpp"
@@ -334,6 +336,37 @@ std::string temp_path(const std::string& stem) {
 TEST(Checkpoint, Crc32KnownVector) {
   EXPECT_EQ(experiment::crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(experiment::crc32(""), 0x00000000u);
+}
+
+/// A table-free byte-at-a-time CRC-32 (reflected 0xEDB88320, shifted one
+/// bit at a time): the reference the slice-by-8 crc32 must agree with.
+std::uint32_t crc32_bytewise(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  // Random bytes at every start offset 0-7 (so the eight-byte strides
+  // meet every alignment) and lengths 0-4096 (every tail length 0-7).
+  std::mt19937_64 rng(20261019);
+  std::string buffer(4096 + 8, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng() & 0xFFu);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 4096;
+         length += length < 64 ? 1 : 61) {
+      const std::string_view view(buffer.data() + offset, length);
+      ASSERT_EQ(experiment::crc32(view), crc32_bytewise(view))
+          << "offset " << offset << " length " << length;
+    }
+    const std::string_view full(buffer.data() + offset, 4096);
+    EXPECT_EQ(experiment::crc32(full), crc32_bytewise(full));
+  }
 }
 
 TEST(Checkpoint, JournalRoundTrip) {

@@ -14,7 +14,10 @@
 //     byte-identically at shard counts 1 and 8, and a real SIGKILL at a
 //     commit boundary (fork + DurabilityOptions::sigkill_after_commits)
 //     followed by `resume` re-emits the uninterrupted run's verdicts
-//     exactly: committed ones from the WAL, the rest recomputed.
+//     exactly: committed ones from the WAL, the rest recomputed.  The
+//     snapshot's delta log folds back into the engine's own snapshot at
+//     every point, and torn, stale or corrupt logs cost at most the
+//     points they hold.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -543,28 +547,348 @@ void crash_daemon(const experiment::StreamCorpus& corpus, std::size_t shards,
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 }
 
+/// Body records of the journal at `path`.
+std::size_t journal_records(const std::string& path) {
+  return journal::load_journal(path).records.size();
+}
+
+/// next_seq of the base in `state_dir`.
+std::uint64_t base_next_seq(const std::string& state_dir) {
+  const journal::LoadedJournal base =
+      journal::load_journal(state_dir + "/snapshot.journal");
+  return json::parse(base.header).at("next_seq").as_uint();
+}
+
 TEST(Durability, SigkillAtCommitBoundaryThenResumeMatchesUninterruptedRun) {
+  // Corpus 777 dies after its 3rd commit.  Corpus 2026 dies after its 8th,
+  // which lands after two deltas and a compaction, with three delta
+  // records in the log: resume folds them onto a base that is not the
+  // first.  (Corpus 777 commits nothing more until the stream ends, after
+  // its last compaction.)
+  struct Case {
+    std::uint64_t seed;
+    std::int64_t kill_at;
+    bool deltas_on_compacted_base;
+  };
+  constexpr std::size_t kBatch = 64;
+  for (const auto& [seed, kill_at, deltas_on_compacted_base] :
+       {Case{777, 3, false}, Case{2026, 8, true}}) {
+    const auto corpus = make_corpus(seed);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      const std::string tag =
+          std::to_string(seed) + "_" + std::to_string(shards);
+      const std::string ref_dir = temp_dir("ref" + tag);
+      const std::string crash_dir = temp_dir("crash" + tag);
+
+      const auto reference =
+          run_daemon(corpus, shards, kBatch, ref_dir, false, -1);
+      ASSERT_GT(reference.size(), static_cast<std::size_t>(kill_at))
+          << "corpus too small to crash mid-run";
+      ASSERT_NO_FATAL_FAILURE(
+          crash_daemon(corpus, shards, kBatch, crash_dir, kill_at));
+      if (deltas_on_compacted_base) {
+        EXPECT_GE(journal_records(crash_dir + "/snapshot.delta"), 2u)
+            << "shards " << shards;
+        EXPECT_GT(base_next_seq(crash_dir), 256u)
+            << "no compaction before the kill, shards " << shards;
+      }
+
+      // Resume in this process: WAL replay + snapshot restore + the rest
+      // of the feed must reproduce the uninterrupted verdict stream
+      // exactly.
+      const auto resumed =
+          run_daemon(corpus, shards, kBatch, crash_dir, true, -1);
+      EXPECT_EQ(resumed, reference)
+          << "corpus " << seed << ", shards " << shards;
+
+      std::filesystem::remove_all(ref_dir);
+      std::filesystem::remove_all(crash_dir);
+    }
+  }
+}
+
+/// One snapshot point of a run: the engine's own snapshot there, and a
+/// copy of the state dir as the point left it.
+struct Point {
+  EngineSnapshot snapshot;
+  std::string dir;
+};
+
+/// Runs the daemon loop fresh into `state_dir` (snapshot interval 256) and
+/// records every snapshot point.  Each copy is what a kill -9 right after
+/// its point would leave: every append is already in the page cache.
+std::vector<Point> run_points(const experiment::StreamCorpus& corpus,
+                              const StreamOptions& options,
+                              const std::string& state_dir) {
+  StreamEngine engine(corpus.upstreams, corpus_config(), options);
+  DurabilityOptions durability;
+  durability.state_dir = state_dir;
+  durability.snapshot_interval = 256;
+  DurableSession session(durability, kFingerprint);
+  session.begin_fresh();
+  std::vector<Point> points;
+  for (const StreamPacket& packet : corpus.packets) {
+    engine.ingest(packet);
+    if (engine.packets_ingested() % options.batch_size != 0) continue;
+    for (const auto& verdict : engine.drain_verdicts()) session.commit(verdict);
+    const std::uint64_t written = session.snapshots_written();
+    session.maybe_snapshot(engine);
+    if (session.snapshots_written() == written) continue;
+    Point& point = points.emplace_back();
+    point.snapshot = engine.snapshot();
+    point.dir = state_dir + ".point" + std::to_string(points.size() - 1);
+    std::filesystem::remove_all(point.dir);
+    std::filesystem::copy(state_dir, point.dir);
+  }
+  return points;
+}
+
+/// Resumes `state_dir` and returns the snapshot it recovered (next_seq 0
+/// and no shards when it recovered none).  Resume only reads the snapshot
+/// files and reopens the WAL for appending, so the dir is left as it was.
+EngineSnapshot resume_snapshot(const std::string& state_dir) {
+  DurabilityOptions options;
+  options.state_dir = state_dir;
+  DurableSession session(options, kFingerprint);
+  ResumeState recovered = session.resume();
+  return recovered.have_snapshot ? std::move(recovered.snapshot)
+                                 : EngineSnapshot{};
+}
+
+testing::AssertionResult same_snapshot(const EngineSnapshot& a,
+                                       const EngineSnapshot& b) {
+  if (a.next_seq != b.next_seq) {
+    return testing::AssertionFailure()
+           << "next_seq " << a.next_seq << " vs " << b.next_seq;
+  }
+  if (a.shards.size() != b.shards.size()) {
+    return testing::AssertionFailure() << "shard count";
+  }
+  for (std::size_t i = 0; i < a.shards.size(); ++i) {
+    const EngineSnapshot::Shard& x = a.shards[i];
+    const EngineSnapshot::Shard& y = b.shards[i];
+    if (x.verdicts_emitted != y.verdicts_emitted ||
+        !std::equal(std::begin(x.tally_by_kind), std::end(x.tally_by_kind),
+                    std::begin(y.tally_by_kind)) ||
+        x.tally_early != y.tally_early) {
+      return testing::AssertionFailure() << "shard " << i << " tallies";
+    }
+    if (x.flows.size() != y.flows.size()) {
+      return testing::AssertionFailure()
+             << "shard " << i << " flows " << x.flows.size() << " vs "
+             << y.flows.size();
+    }
+    for (std::size_t f = 0; f < x.flows.size(); ++f) {
+      const EngineSnapshot::Flow& p = x.flows[f];
+      const EngineSnapshot::Flow& q = y.flows[f];
+      const auto held = [](const EngineSnapshot::Flow& flow) {
+        std::vector<std::string> out;
+        for (const auto& verdict : flow.held) {
+          out.push_back(encode_verdict(verdict));
+        }
+        return out;
+      };
+      if (!(p.entry.tuple == q.entry.tuple) ||
+          p.entry.first_seen_seq != q.entry.first_seen_seq ||
+          p.entry.last_seen != q.entry.last_seen ||
+          p.entry.packets != q.entry.packets ||
+          p.entry.tombstone != q.entry.tombstone ||
+          p.buffered != q.buffered || held(p) != held(q)) {
+        return testing::AssertionFailure()
+               << "shard " << i << " flow " << f << " (seq "
+               << p.entry.first_seen_seq << ")";
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(Durability, DeltaFoldEqualsEngineSnapshotAtEverySnapshotPoint) {
+  // Caps small enough to evict, early exits that tombstone decided flows,
+  // and a min_packets filter that holds early verdicts back: every kind of
+  // change a delta carries.
+  const auto corpus = make_corpus(2026);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    StreamOptions options = engine_options(shards, 64);
+    options.table.max_buffered_packets = 1200;
+    options.table.max_flows = std::max<std::size_t>(shards, 5);
+    options.min_packets = 120;
+    const std::string state_dir = temp_dir("fold" + std::to_string(shards));
+    const std::uint64_t evicted_before =
+        metrics::counter("stream.flows.evicted").value();
+    const std::uint64_t bases_before =
+        metrics::counter("durability.snapshot.bases").value();
+    const std::uint64_t deltas_before =
+        metrics::counter("durability.snapshot.deltas").value();
+    const auto points = run_points(corpus, options, state_dir);
+
+    bool tombstones = false;
+    bool held = false;
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      EXPECT_TRUE(same_snapshot(resume_snapshot(points[k].dir),
+                                points[k].snapshot))
+          << "shards " << shards << ", point " << k;
+      for (const auto& shard : points[k].snapshot.shards) {
+        for (const auto& flow : shard.flows) {
+          tombstones = tombstones || flow.entry.tombstone;
+          held = held || !flow.held.empty();
+        }
+      }
+      std::filesystem::remove_all(points[k].dir);
+    }
+    EXPECT_GT(metrics::counter("stream.flows.evicted").value(),
+              evicted_before);
+    EXPECT_TRUE(tombstones) << "no snapshot point held a tombstone";
+    EXPECT_TRUE(held) << "no snapshot point held a verdict back";
+    EXPECT_GE(metrics::counter("durability.snapshot.bases").value(),
+              bases_before + 2)
+        << "no compaction";
+    EXPECT_GE(metrics::counter("durability.snapshot.deltas").value(),
+              deltas_before + 2);
+    std::filesystem::remove_all(state_dir);
+  }
+}
+
+TEST(Durability, TornDeltaTailResumesFromThePreviousPoint) {
+  // A kill -9 mid-append leaves a prefix of the last delta record.  At
+  // every cut inside that record, resume must fold up to the point before
+  // it and still reproduce the uninterrupted verdict stream.
   const auto corpus = make_corpus(777);
   constexpr std::size_t kBatch = 64;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
     const std::string tag = std::to_string(shards);
-    const std::string ref_dir = temp_dir("ref" + tag);
-    const std::string crash_dir = temp_dir("crash" + tag);
-
+    const std::string ref_dir = temp_dir("torn_ref" + tag);
     const auto reference =
         run_daemon(corpus, shards, kBatch, ref_dir, false, -1);
-    ASSERT_GT(reference.size(), 3u) << "corpus too small to crash mid-run";
-    ASSERT_NO_FATAL_FAILURE(
-        crash_daemon(corpus, shards, kBatch, crash_dir, 3));
 
-    // Resume in this process: WAL replay + snapshot restore + the rest of
-    // the feed must reproduce the uninterrupted verdict stream exactly.
-    const auto resumed =
-        run_daemon(corpus, shards, kBatch, crash_dir, true, -1);
-    EXPECT_EQ(resumed, reference) << "shards " << shards;
+    // The first point whose log holds two records, so the cut record has
+    // a delta before it.
+    const std::string state_dir = temp_dir("torn_state" + tag);
+    const auto points =
+        run_points(corpus, engine_options(shards, kBatch), state_dir);
+    std::size_t last = points.size();
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      if (journal_records(points[k].dir + "/snapshot.delta") == 2) {
+        last = k;
+        break;
+      }
+    }
+    ASSERT_LT(last, points.size()) << "no log with two records";
+    const std::string log = points[last].dir + "/snapshot.delta";
+    const std::uintmax_t size = std::filesystem::file_size(log);
+    std::uintmax_t line_start = 0;
+    {
+      std::ifstream in(log, std::ios::binary);
+      const std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      line_start = text.rfind('\n', text.size() - 2) + 1;
+    }
 
-    std::filesystem::remove_all(ref_dir);
-    std::filesystem::remove_all(crash_dir);
+    const std::string cut_dir = temp_dir("torn_cut" + tag);
+    const std::string run_dir = temp_dir("torn_run" + tag);
+    std::filesystem::copy(points[last].dir, cut_dir);
+    for (std::uintmax_t cut = line_start; cut < size; ++cut) {
+      std::filesystem::copy_file(
+          log, cut_dir + "/snapshot.delta",
+          std::filesystem::copy_options::overwrite_existing);
+      std::filesystem::resize_file(cut_dir + "/snapshot.delta", cut);
+      // Only a cut of the final newline leaves the record whole.
+      const bool whole = cut + 1 == size;
+      ASSERT_TRUE(same_snapshot(resume_snapshot(cut_dir),
+                                points[whole ? last : last - 1].snapshot))
+          << "shards " << shards << ", cut at byte " << cut;
+      // The resumed stream is a function of the WAL, the same at every
+      // cut, and of the snapshot just checked; run it at the record's
+      // start, its middle and its end.
+      if (cut == line_start || cut == (line_start + size) / 2 || whole) {
+        std::filesystem::remove_all(run_dir);
+        std::filesystem::copy(cut_dir, run_dir);
+        ASSERT_EQ(run_daemon(corpus, shards, kBatch, run_dir, true, -1),
+                  reference)
+            << "shards " << shards << ", cut at byte " << cut;
+      }
+    }
+    for (const Point& point : points) std::filesystem::remove_all(point.dir);
+    for (const auto& path : {ref_dir, state_dir, cut_dir, run_dir}) {
+      std::filesystem::remove_all(path);
+    }
+  }
+}
+
+TEST(Durability, StaleDeltaLogIsIgnoredAndCorruptRecordEndsTheFold) {
+  const auto corpus = make_corpus(777);
+  constexpr std::size_t kBatch = 64;
+  const std::string ref_dir = temp_dir("stale_ref");
+  const auto reference = run_daemon(corpus, 1, kBatch, ref_dir, false, -1);
+  const std::string state_dir = temp_dir("stale_state");
+  const auto points = run_points(corpus, engine_options(1, kBatch), state_dir);
+
+  // A compaction: a point, after the first, that wrote a base.
+  std::size_t compacted = points.size();
+  for (std::size_t k = 1; k < points.size(); ++k) {
+    if (base_next_seq(points[k].dir) == points[k].snapshot.next_seq) {
+      compacted = k;
+      break;
+    }
+  }
+  ASSERT_LT(compacted, points.size()) << "no compaction";
+  ASSERT_GE(journal_records(points[compacted - 1].dir + "/snapshot.delta"),
+            1u);
+
+  // A crash between the new base's rename and the log's reset leaves the
+  // old log, which names the previous base: resume ignores it.
+  const std::string stale_dir = temp_dir("stale");
+  std::filesystem::copy(points[compacted].dir, stale_dir);
+  std::filesystem::copy_file(
+      points[compacted - 1].dir + "/snapshot.delta",
+      stale_dir + "/snapshot.delta",
+      std::filesystem::copy_options::overwrite_existing);
+  const std::uint64_t ignored =
+      metrics::counter("durability.snapshot.delta_log_ignored").value();
+  EXPECT_TRUE(same_snapshot(resume_snapshot(stale_dir),
+                            points[compacted].snapshot));
+  EXPECT_EQ(
+      metrics::counter("durability.snapshot.delta_log_ignored").value(),
+      ignored + 1);
+
+  // A corrupt middle record ends the fold at the point before it; the
+  // records after it are lost and counted, and the verdict stream still
+  // equals the uninterrupted run.
+  std::size_t three = points.size();
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (journal_records(points[k].dir + "/snapshot.delta") == 3) {
+      three = k;
+      break;
+    }
+  }
+  ASSERT_LT(three, points.size()) << "no log with three records";
+  const std::string corrupt_dir = temp_dir("corrupt");
+  std::filesystem::copy(points[three].dir, corrupt_dir);
+  {
+    const std::string path = corrupt_dir + "/snapshot.delta";
+    std::ifstream in(path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    // Lines: header, record 0, record 1, record 2.  Flip a digit inside
+    // record 1's data.
+    const std::size_t second = text.find('\n', text.find('\n') + 1) + 1;
+    const std::size_t digit = text.find("\"next_seq\":", second) + 11;
+    text[digit] = text[digit] == '9' ? '8' : '9';
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  }
+  const std::uint64_t lost =
+      metrics::counter("durability.snapshot.deltas_lost").value();
+  EXPECT_TRUE(same_snapshot(resume_snapshot(corrupt_dir),
+                            points[three - 2].snapshot));
+  EXPECT_EQ(metrics::counter("durability.snapshot.deltas_lost").value(),
+            lost + 2);
+  EXPECT_EQ(run_daemon(corpus, 1, kBatch, corrupt_dir, true, -1), reference);
+
+  for (const Point& point : points) std::filesystem::remove_all(point.dir);
+  for (const auto& path :
+       {ref_dir, state_dir, stale_dir, corrupt_dir}) {
+    std::filesystem::remove_all(path);
   }
 }
 

@@ -70,9 +70,10 @@
 #      (DESIGN.md §15).
 #  11. live-feed daemon: 1000 frame_parser oracle iterations under
 #      ASan/UBSan (arbitrary bytes never crash the framing, chunking
-#      independence, byte conservation), a kill -9 + `watch --resume`
-#      round trip at shard counts 1 and 8 whose resumed verdict stream
-#      must cmp byte-identical to the uninterrupted run, and a chaos
+#      independence, byte conservation), two kill -9 + `watch --resume`
+#      round trips at shard counts 1 and 8 whose resumed verdict streams
+#      must cmp byte-identical to the uninterrupted run (the second kill
+#      comes once snapshot.delta holds >= 2 records), and a chaos
 #      soak: paced feeder -> fault-injecting chaos-proxy -> ASan/UBSan
 #      daemon, accumulating >= 1000 injected wire faults across rounds
 #      with the daemon exiting cleanly every time (DESIGN.md §16).
@@ -420,6 +421,29 @@ step_11() {  # live-feed daemon: frame fuzz + kill -9/resume cmp + chaos soak
       --state-dir "$live_dir/state$shards" --resume \
       >"$live_dir/resume$shards.out"
     cmp "$live_dir/ref$shards.out" "$live_dir/resume$shards.out"
+
+    # The same round trip killed after the 5th commit, once the delta log
+    # (snapshot.delta: a header line, then one record per snapshot point
+    # since the last base) holds at least two records, so resume folds
+    # deltas onto the base.
+    if "$tool" watch "${watch_flags[@]}" \
+      --state-dir "$live_dir/late$shards" --snapshot-interval 256 \
+      --kill-after-verdicts 5 \
+      >"$live_dir/late$shards.out" 2>"$live_dir/late$shards.err"; then
+      echo "watch --kill-after-verdicts was expected to die by SIGKILL" >&2
+      return 1
+    fi
+    local delta_records
+    delta_records=$(( $(wc -l <"$live_dir/late$shards/snapshot.delta") - 1 ))
+    if (( delta_records < 2 )); then
+      echo "snapshot.delta holds $delta_records record(s) at the kill," \
+        "expected >= 2" >&2
+      return 1
+    fi
+    "$tool" watch "${watch_flags[@]}" \
+      --state-dir "$live_dir/late$shards" --resume \
+      >"$live_dir/late_resume$shards.out"
+    cmp "$live_dir/ref$shards.out" "$live_dir/late_resume$shards.out"
   done
 
   # Chaos soak: paced feeder -> fault-injecting proxy -> ASan/UBSan
